@@ -1,8 +1,7 @@
 //! Benchmarks of the single-record/multi-replay campaign pipeline: trace
-//! recording vs replay, the columnar struct-of-arrays engine vs the enum
-//! dispatch [`Replayer`] vs the naive HashMap-per-run reference, and the
-//! leak detector's check pass as the live group population grows (the
-//! incremental schedule vs the full scan).
+//! recording vs replay, the columnar struct-of-arrays engine vs the naive
+//! HashMap-per-run reference, and the leak detector's check pass as the
+//! live group population grows (the incremental schedule vs the full scan).
 //!
 //! Set `REPLAY_BENCH_JSON=<path>` to also emit the results as a JSON record —
 //! CI uploads it alongside the campaign and ECC bench artifacts.
@@ -11,7 +10,7 @@ use criterion::{black_box, Criterion};
 use safemem_core::{CallStack, LeakConfig, LeakDetector, SafeMem};
 use safemem_faultinject::{record_trace, CampaignSpec};
 use safemem_os::{Os, OsConfig, HEAP_BASE};
-use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Replayer};
+use safemem_workloads::{ColumnarReplayer, ColumnarTrace};
 
 fn os_for(spec: &CampaignSpec) -> Os {
     let mut os = Os::new(OsConfig {
@@ -33,17 +32,6 @@ fn bench_record_vs_replay(c: &mut Criterion) {
         b.iter(|| black_box(record_trace(&spec).expect("record")))
     });
 
-    // Scratch-reusing replayer: one slot table amortised across runs. This
-    // is the shape the memoized campaign runner uses per worker.
-    let mut replayer = Replayer::new();
-    c.bench_function("replay/replayer_gzip48", |b| {
-        b.iter(|| {
-            let mut os = os_for(&spec);
-            let mut tool = SafeMem::builder().build(&mut os);
-            black_box(replayer.replay(&trace, &mut os, &mut tool))
-        })
-    });
-
     // Naive reference: fresh HashMap id table every run.
     c.bench_function("replay/naive_gzip48", |b| {
         b.iter(|| {
@@ -53,8 +41,10 @@ fn bench_record_vs_replay(c: &mut Criterion) {
         })
     });
 
-    // Columnar struct-of-arrays engine: the campaign replay hot path. The
-    // one-time transposition is benched separately from the scan itself.
+    // Columnar struct-of-arrays engine: the campaign replay hot path, with
+    // one scratch-reusing replayer amortised across runs as each campaign
+    // worker holds it. The one-time transposition is benched separately
+    // from the scan itself.
     c.bench_function("replay/columnar_transpose_gzip48", |b| {
         b.iter(|| black_box(ColumnarTrace::from_trace(&trace)))
     });

@@ -19,9 +19,16 @@
 //! is settled once at the next epoch boundary (the pass itself). A group
 //! that allocates ten thousand times inside one check period costs ten
 //! thousand set inserts and a single reschedule instead of ten thousand
-//! ordered-set edits. Observable behaviour — reports, counters, and
-//! simulated cycle charges — is identical in both modes (differentially
-//! tested per workload).
+//! ordered-set edits. Passes then examine only the groups whose deadline
+//! has arrived. The full scan (`incremental_check = false` in
+//! [`LeakConfig`]) is the reference this schedule is tested against:
+//! reports, counters, and simulated cycle charges are identical.
+//!
+//! Deferring the reschedule is sound because a group's deadline is a pure
+//! function of statistics that change only on alloc/free/prune events, and
+//! every such event marks the group pending: the settle at pass entry
+//! refreshes every touched group before candidates are gathered, and an
+//! untouched group's old entry is still valid.
 
 use crate::groups::GroupStats;
 use crate::report::{BugReport, LeakKind};
@@ -67,26 +74,12 @@ pub struct LeakConfig {
     pub update_cycles: u64,
     /// Cycles charged per group examined in a detection pass.
     pub check_group_cycles: u64,
-    /// `true` — detection passes consult a deadline schedule and examine
-    /// only groups that could cross an ALeak/SLeak threshold. `false` —
-    /// rescan every group each pass (the differential reference). Both
-    /// modes produce byte-identical reports, statistics, and simulated
-    /// cycle charges; the schedule saves host time only.
+    /// `true` — detection passes consult the epoch-batched deadline
+    /// schedule and examine only groups that could cross an ALeak/SLeak
+    /// threshold. `false` — rescan every group each pass (the reference
+    /// oracle). Both modes produce byte-identical reports, statistics, and
+    /// simulated cycle charges; the schedule saves host time only.
     pub incremental_check: bool,
-    /// `true` — allocation/deallocation/prune events only record the
-    /// touched group as epoch evidence; deadline recomputation settles
-    /// once per group at the next detection pass (the epoch boundary).
-    /// `false` — every event reschedules its group eagerly (the
-    /// differential reference). Both modes produce identical observable
-    /// detections; batching saves host time only.
-    ///
-    /// Deferral is sound because a group's deadline is a pure function of
-    /// statistics that change only on alloc/free/prune events, and every
-    /// such event marks the group pending: a group whose schedule entry is
-    /// stale can never *fire* stale, because the settle at pass entry
-    /// refreshes every touched group before candidates are gathered, and
-    /// an untouched group's old entry is still valid.
-    pub epoch_batch: bool,
 }
 
 impl Default for LeakConfig {
@@ -109,7 +102,6 @@ impl Default for LeakConfig {
             update_cycles: 150,
             check_group_cycles: 40,
             incremental_check: true,
-            epoch_batch: true,
         }
     }
 }
@@ -282,16 +274,6 @@ impl LeakDetector {
         }
     }
 
-    /// Records a stat-changing event on `key`: batched mode appends epoch
-    /// evidence, eager mode reschedules immediately.
-    fn note_event(&mut self, key: GroupKey, now: u64) {
-        if self.config.epoch_batch {
-            self.epoch_pending.insert(key);
-        } else {
-            self.reschedule(key, now);
-        }
-    }
-
     /// Recomputes `key`'s deadline and replaces its schedule entry.
     fn reschedule(&mut self, key: GroupKey, now: u64) {
         let deadline = self
@@ -350,7 +332,7 @@ impl LeakDetector {
             .or_default()
             .on_alloc(addr, size, now);
         self.objects.insert(addr, ObjectInfo { group, size });
-        self.note_event(group, now);
+        self.epoch_pending.insert(group);
         self.maybe_check(os);
     }
 
@@ -391,7 +373,7 @@ impl LeakDetector {
                 self.stats.suspects_flagged -= 1;
             }
         }
-        self.note_event(info.group, now);
+        self.epoch_pending.insert(info.group);
         self.maybe_check(os);
     }
 
@@ -552,7 +534,7 @@ impl LeakDetector {
         group.raise_max_lifetime(now.saturating_sub(suspect.alloc_time), now);
         group.reset_alloc_time(suspect.addr, now);
         group.cooldown_until = now + self.config.prune_cooldown;
-        self.note_event(suspect.group, now);
+        self.epoch_pending.insert(suspect.group);
         true
     }
 

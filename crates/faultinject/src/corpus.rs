@@ -466,13 +466,13 @@ pub fn obtain_campaign_trace(
     };
     let key = TraceKey::of(spec);
     match corpus.load(&key) {
-        Ok(Some(trace)) => Ok((RecordedTrace::new(trace), false)),
+        Ok(Some(trace)) => Ok((RecordedTrace::new(&trace), false)),
         Ok(None) => {
             let trace = record_trace(spec)?;
             corpus
                 .store(&key, &trace)
                 .map_err(|e| CampaignError(e.to_string()))?;
-            Ok((RecordedTrace::new(trace), true))
+            Ok((RecordedTrace::new(&trace), true))
         }
         Err(e) => Err(CampaignError(e.to_string())),
     }
@@ -556,6 +556,27 @@ mod tests {
             "expected Corrupt, got {err:?}"
         );
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    #[test]
+    fn checksum_valid_body_with_a_bad_id_is_corrupt() {
+        // Header and checksum intact; the body names an id that does not fit
+        // u32 or that no earlier `M` line bound.
+        let key = key();
+        for (body, line) in [("M 8\nF 4294967296\n", "line 2"), ("R 7 0 8\n", "line 1")] {
+            let empty_sum = format!("{:016x}", corpus_checksum(""));
+            let rendered = TraceCorpus::render(&key, &Trace::new())
+                .replace(&empty_sum, &format!("{:016x}", corpus_checksum(body)))
+                + body;
+            let err = TraceCorpus::parse(Path::new("c/bad-id.trace"), &key, &rendered)
+                .expect_err("bad id must not load");
+            assert!(matches!(err, CorpusError::Corrupt { .. }), "{err:?}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("c/bad-id.trace") && msg.contains(line),
+                "{msg}"
+            );
+        }
     }
 
     #[test]

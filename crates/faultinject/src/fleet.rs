@@ -22,8 +22,9 @@
 //!   lifetime thresholds meaningful.
 //! * **Phase B — per-process campaign cells.** Every process is replayed as
 //!   an isolated campaign cell under the harsh correctable-only fault mix
-//!   ([`replay_safemem_with`] — SafeMem alone, not the five-tool panel),
-//!   sharded across worker threads with the memoized trace store (three
+//!   ([`replay_safemem_columnar_with`] — SafeMem alone, not the five-tool
+//!   panel) on the shared record/replay/fold core
+//!   ([`runner`](crate::runner)), with the memoized trace store (three
 //!   recorded traces serve the whole fleet). Results are folded straight
 //!   into a fixed-size [`FleetAgg`]; no per-cell `Vec` survives the run.
 //!
@@ -35,24 +36,19 @@
 //! the shared-machine timing part of the outcome, so the A/B check binds
 //! the corruption classes only).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use safemem_core::PPM;
 use safemem_fleet::{Fleet, FleetConfig, FleetReport, ProcessSpec};
 use safemem_workloads::apps::ChurnKind;
-use safemem_workloads::ColumnarReplayer;
 
-use crate::corpus::{obtain_campaign_trace, TraceCorpus};
+use crate::corpus::TraceCorpus;
 use crate::oracle::{
-    replay_safemem_columnar_with, CampaignError, GroundTruth, RecordedTrace, ToolScore,
-    SAMPLING_STREAM,
+    replay_safemem_columnar_with, CampaignError, GroundTruth, ToolScore, SAMPLING_STREAM,
 };
 use crate::rng::SmRng;
-use crate::runner::{render_bench_json, BenchRun, TraceKey, TraceMode, WorkerReport};
+use crate::runner::{render_bench_json, run_cells, BenchRun, TraceMode, WorkerReport};
 use crate::spec::{CampaignSpec, FLEET_REQUESTS, FLEET_WORKLOADS};
 
 /// Default fleet size: big enough that at the 0.2 sampling rate the
@@ -88,7 +84,7 @@ pub fn expand_fleet(
 }
 
 /// The churn kind a fleet cell's workload name denotes.
-fn kind_of(spec: &CampaignSpec) -> Result<ChurnKind, CampaignError> {
+pub(crate) fn kind_of(spec: &CampaignSpec) -> Result<ChurnKind, CampaignError> {
     match spec.workload.as_str() {
         "churn-leak" => Ok(ChurnKind::Leak),
         "churn-uaf" => Ok(ChurnKind::UseAfterFree),
@@ -96,6 +92,15 @@ fn kind_of(spec: &CampaignSpec) -> Result<ChurnKind, CampaignError> {
         other => Err(CampaignError(format!(
             "fleet cells run the churn family, not {other:?}"
         ))),
+    }
+}
+
+/// Whether SafeMem caught a churn cell's planted bug: every planted leak
+/// group for the leak class, the corruption report for the others.
+pub(crate) fn detects(kind: ChurnKind, truth: &GroundTruth, score: &ToolScore) -> bool {
+    match kind {
+        ChurnKind::Leak => score.leaks_found == truth.leak_groups.len(),
+        ChurnKind::UseAfterFree | ChurnKind::Overflow => score.corruption_found,
     }
 }
 
@@ -239,10 +244,7 @@ impl FleetAgg {
             ChurnKind::UseAfterFree => 1,
             ChurnKind::Overflow => 2,
         }];
-        let detected = match kind {
-            ChurnKind::Leak => score.leaks_found == truth.leak_groups.len(),
-            ChurnKind::UseAfterFree | ChurnKind::Overflow => score.corruption_found,
-        };
+        let detected = detects(kind, truth, score);
         self.cells += 1;
         class.cells += 1;
         class.detected += u64::from(detected);
@@ -309,8 +311,8 @@ pub struct FleetOutcome {
 /// every sharded run is checked against.
 ///
 /// Phase A runs the whole fleet on one shared machine; phase B shards the
-/// per-process campaign cells across `threads` workers exactly like the
-/// matrix runner, recording each unique trace once under
+/// per-process campaign cells across `threads` workers on the matrix
+/// runner's record/replay/fold core, recording each unique trace once under
 /// [`TraceMode::Memoized`] (three traces serve any fleet size) and folding
 /// every cell into the fixed-size [`FleetAgg`].
 ///
@@ -394,143 +396,28 @@ pub fn run_fleet_corpus(
     );
     let boot_wall = start.elapsed();
 
-    // Phase B: the cells, sharded. Same two-phase record/replay shape as
-    // the matrix runner, but each cell replays SafeMem alone and folds.
-    let threads = threads.max(1).min(specs.len());
-    let mut key_index: HashMap<TraceKey, usize> = HashMap::new();
-    let mut slot_of_cell: Vec<usize> = Vec::with_capacity(specs.len());
-    let mut slot_spec: Vec<&CampaignSpec> = Vec::new();
-    if mode == TraceMode::Memoized {
-        for spec in specs {
-            let next = key_index.len();
-            let slot = *key_index.entry(TraceKey::of(spec)).or_insert(next);
-            if slot == next {
-                slot_spec.push(spec);
-            }
-            slot_of_cell.push(slot);
-        }
-    }
-    let slots: Vec<OnceLock<Result<Arc<RecordedTrace>, CampaignError>>> =
-        (0..slot_spec.len()).map(|_| OnceLock::new()).collect();
-
-    let record_cursor = AtomicUsize::new(0);
-    let cell_cursor = AtomicUsize::new(0);
-    let barrier = Barrier::new(threads);
-    let agg = Mutex::new(FleetAgg::new(rate_ppm));
-    let first_error: Mutex<Option<(usize, CampaignError)>> = Mutex::new(None);
-    let workers: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
+    // Phase B: the cells on the shared core, each replaying SafeMem alone
+    // and folding into the fixed-size aggregate.
     let shared_detected = &shared.detected;
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let record_cursor = &record_cursor;
-            let cell_cursor = &cell_cursor;
-            let barrier = &barrier;
-            let agg = &agg;
-            let first_error = &first_error;
-            let workers = &workers;
-            let slots = &slots;
-            let slot_spec = &slot_spec;
-            let slot_of_cell = &slot_of_cell;
-            scope.spawn(move || {
-                let mut replayer = ColumnarReplayer::new();
-                let mut report = WorkerReport {
-                    worker,
-                    campaigns: 0,
-                    traces_recorded: 0,
-                    busy: Duration::ZERO,
-                    injection_events: 0,
-                };
-
-                loop {
-                    let slot = record_cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = slot_spec.get(slot).copied() else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let recorded = obtain_campaign_trace(spec, corpus).map(|(trace, fresh)| {
-                        if fresh {
-                            report.traces_recorded += 1;
-                        }
-                        Arc::new(trace)
-                    });
-                    report.busy += t0.elapsed();
-                    slots[slot]
-                        .set(recorded)
-                        .expect("the cursor hands each slot to one worker");
-                }
-                barrier.wait();
-
-                loop {
-                    let index = cell_cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(index) else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let cell = match mode {
-                        TraceMode::Memoized => {
-                            let slot = &slots[slot_of_cell[index]];
-                            match slot.get().expect("phase one filled every slot") {
-                                Ok(trace) => {
-                                    replay_safemem_columnar_with(spec, trace, &mut replayer)
-                                }
-                                Err(e) => Err(e.clone()),
-                            }
-                        }
-                        TraceMode::FreshRecord => {
-                            obtain_campaign_trace(spec, corpus).and_then(|(trace, fresh)| {
-                                if fresh {
-                                    report.traces_recorded += 1;
-                                }
-                                replay_safemem_columnar_with(spec, &trace, &mut replayer)
-                            })
-                        }
-                    };
-                    report.busy += t0.elapsed();
-                    report.campaigns += 1;
-                    let folded = cell.and_then(|(truth, score)| {
-                        let log = score.injected;
-                        report.injection_events += log.data_bit_flips
-                            + log.code_bit_flips
-                            + log.multi_bit_bursts
-                            + log.forced_scrub_cycles
-                            + log.dma_transfers
-                            + log.dma_faults;
-                        agg.lock().expect("no panics hold the aggregate lock").fold(
-                            spec,
-                            &truth,
-                            &score,
-                            shared_detected[index],
-                        )
-                    });
-                    if let Err(e) = folded {
-                        let mut slot = first_error.lock().expect("no panics hold the error lock");
-                        if slot.as_ref().is_none_or(|(lowest, _)| index < *lowest) {
-                            *slot = Some((index, e));
-                        }
-                    }
-                }
-                workers
-                    .lock()
-                    .expect("no panics hold the worker lock")
-                    .push(report);
-            });
-        }
-    });
-
-    if let Some((_, e)) = first_error.into_inner().expect("scope joined all workers") {
-        return Err(e);
-    }
-    let mut workers = workers.into_inner().expect("scope joined all workers");
-    workers.sort_by_key(|w| w.worker);
+    let run = run_cells(
+        specs,
+        threads,
+        mode,
+        corpus,
+        replay_safemem_columnar_with,
+        FleetAgg::new(rate_ppm),
+        |agg, index, (truth, score)| {
+            agg.fold(&specs[index], &truth, &score, shared_detected[index])
+        },
+    )?;
 
     Ok(FleetOutcome {
         processes: specs.len() as u64,
         requests,
         shared,
-        agg: agg.into_inner().expect("scope joined all workers"),
-        workers,
-        threads,
+        agg: run.sink,
+        workers: run.workers,
+        threads: run.threads,
         shards: shards.min(specs.len()),
         wall: start.elapsed(),
         boot_wall,

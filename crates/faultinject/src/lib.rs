@@ -17,12 +17,15 @@
 //! * [`oracle::run_campaign`] — records one ground-truth trace and replays it
 //!   through SafeMem, the three comparison baselines, and the uninstrumented
 //!   tool, classifying every report as true positive / false positive /
-//!   missed (split into [`oracle::record_trace`] and [`oracle::replay_panel`]
-//!   so a shared trace can serve many cells);
+//!   missed (split into [`oracle::record_campaign_trace`] and
+//!   [`oracle::replay_panel_columnar_with`] so a shared trace can serve many
+//!   cells);
 //! * [`runner::run_matrix`] — shards a seeds × workloads campaign matrix
-//!   across a scoped worker pool, recording each unique trace once
-//!   ([`runner::TraceMode`]); results reassemble in cell order, so the
-//!   aggregate scorecard is byte-identical for any thread count;
+//!   across the scoped record/replay/fold worker pool every runner shares
+//!   (the streamed matrix, the fleet's per-process cells and the fleet
+//!   sweep too), recording each unique trace once ([`runner::TraceMode`]);
+//!   results reassemble in cell order, so the aggregate scorecard is
+//!   byte-identical for any thread count;
 //! * [`scorecard`] — byte-stable rendering, per campaign and aggregated.
 //!
 //! Determinism contract: no wall-clock, no global RNG; every injection
@@ -59,10 +62,9 @@ pub use frontier::{
 };
 pub use inject::{InjectionLog, Injector};
 pub use oracle::{
-    record_campaign_trace, record_trace, replay_panel, replay_panel_columnar_with,
-    replay_panel_with, replay_safemem_columnar_with, replay_safemem_with, run_campaign,
-    CampaignError, CampaignResult, GroundTruth, MarkerCounts, RecordedTrace, SurvivalScore,
-    ToolScore, PANEL, SAMPLING_STREAM,
+    record_campaign_trace, record_trace, replay_panel_columnar_with, replay_safemem_columnar_with,
+    run_campaign, CampaignError, CampaignResult, GroundTruth, MarkerCounts, RecordedTrace,
+    SurvivalScore, ToolScore, PANEL, SAMPLING_STREAM,
 };
 pub use rng::SmRng;
 pub use runner::{

@@ -16,8 +16,8 @@ use safemem_core::{
 use safemem_ecc::ControllerStats;
 use safemem_os::{Os, OsConfig, STATIC_BASE};
 use safemem_workloads::{
-    workload_by_name, BugClass, ColumnarReplayer, ColumnarTrace, InputMode, Recorder, Replayer,
-    RunConfig, Trace, TraceOp,
+    workload_by_name, BugClass, ColumnarReplayer, ColumnarTrace, InputMode, Recorder, RunConfig,
+    Trace,
 };
 use std::collections::HashSet;
 
@@ -57,17 +57,15 @@ pub struct MarkerCounts {
 }
 
 impl MarkerCounts {
-    /// Counts the markers in a recorded trace.
+    /// Counts the markers in a recorded trace's marker column.
     #[must_use]
-    pub fn of(trace: &Trace) -> MarkerCounts {
+    pub fn of(trace: &ColumnarTrace) -> MarkerCounts {
         let mut counts = MarkerCounts::default();
-        for op in trace.ops() {
-            if let TraceOp::Marker { kind } = op {
-                match kind {
-                    IncidentClass::Overflow => counts.overflows += 1,
-                    IncidentClass::UseAfterFree => counts.uafs += 1,
-                    IncidentClass::DoubleFree => counts.double_frees += 1,
-                }
+        for kind in trace.markers() {
+            match kind {
+                IncidentClass::Overflow => counts.overflows += 1,
+                IncidentClass::UseAfterFree => counts.uafs += 1,
+                IncidentClass::DoubleFree => counts.double_frees += 1,
             }
         }
         counts
@@ -290,120 +288,55 @@ fn build_tool(name: &str, spec: &CampaignSpec, os: &mut Os) -> Box<dyn MemTool> 
 /// The differential panel, in scorecard order.
 pub const PANEL: &[&str] = &["safemem", "purify", "memcheck", "pageguard", "none"];
 
-/// A recorded campaign trace in both layouts: the enum [`Trace`] (the
-/// serialisation format and differential reference) and its struct-of-arrays
-/// [`ColumnarTrace`] flattening (the replay hot path). Flattening happens
-/// once at record time, so every panel cell sharing the recording replays
-/// columns without re-walking the enum stream.
+/// A recorded campaign trace in its replay layout: the recorder's enum
+/// [`Trace`] flattened once to a [`ColumnarTrace`] at record time, so every
+/// panel cell sharing the recording replays columns without re-walking the
+/// enum stream.
 #[derive(Debug, Clone)]
 pub struct RecordedTrace {
-    /// The enum-layout op stream.
-    pub trace: Trace,
-    /// The same stream flattened to columns.
+    /// The op stream flattened to columns.
     pub columnar: ColumnarTrace,
 }
 
 impl RecordedTrace {
-    /// Flattens `trace` and bundles both layouts.
+    /// Flattens a recorded trace.
     #[must_use]
-    pub fn new(trace: Trace) -> Self {
+    pub fn new(trace: &Trace) -> Self {
         RecordedTrace {
-            columnar: ColumnarTrace::from_trace(&trace),
-            trace,
+            columnar: ColumnarTrace::from_trace(trace),
         }
     }
 }
 
-/// [`record_trace`] bundled with its columnar flattening — what the matrix
-/// runners memoize per [`TraceKey`](crate::TraceKey).
+/// [`record_trace`] flattened for replay — what the matrix runners memoize
+/// per [`TraceKey`](crate::TraceKey).
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
 pub fn record_campaign_trace(spec: &CampaignSpec) -> Result<RecordedTrace, CampaignError> {
-    record_trace(spec).map(RecordedTrace::new)
+    record_trace(spec).map(|trace| RecordedTrace::new(&trace))
 }
 
 /// Runs one campaign: records the ground-truth trace, replays it through the
 /// whole panel under injection, and scores every tool.
 ///
-/// Equivalent to [`record_trace`] followed by [`replay_panel`]; the matrix
-/// runner uses the split halves so cells sharing a trace record it once.
+/// Equivalent to [`record_campaign_trace`] followed by
+/// [`replay_panel_columnar_with`]; the matrix runners use the split halves
+/// so cells sharing a trace record it once.
 ///
 /// # Errors
 ///
 /// Returns [`CampaignError`] if the spec names an unknown workload.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignResult, CampaignError> {
-    let trace = record_trace(spec)?;
-    replay_panel(spec, &trace)
+    let rec = record_campaign_trace(spec)?;
+    replay_panel_columnar_with(spec, &rec, &mut ColumnarReplayer::new())
 }
 
 /// Replays an already-recorded campaign trace through the whole panel under
 /// injection and scores every tool. The trace is only borrowed, so one
-/// recording can serve every cell that shares it.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_panel(spec: &CampaignSpec, trace: &Trace) -> Result<CampaignResult, CampaignError> {
-    replay_panel_with(spec, trace, &mut Replayer::new())
-}
-
-/// [`replay_panel`] with a caller-owned [`Replayer`], so a worker thread
-/// replaying many cells reuses its scratch buffers across all of them.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_panel_with(
-    spec: &CampaignSpec,
-    trace: &Trace,
-    replayer: &mut Replayer,
-) -> Result<CampaignResult, CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: trace.len(),
-        markers: MarkerCounts::of(trace),
-    };
-    // One membership set per campaign, not one linear scan per reported
-    // group.
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-
-    let mut tools = Vec::with_capacity(PANEL.len());
-    for &name in PANEL {
-        let mut os = build_os(spec);
-        let tool = build_tool(name, spec, &mut os);
-        let mut injector = Injector::new(tool, spec.mix, spec.seed);
-        let result = replayer.replay(trace, &mut os, &mut injector);
-        let summary = injector.survival();
-        let sampling = injector.sampling();
-        tools.push(score(
-            name,
-            spec,
-            &truth,
-            &truth_set,
-            &os,
-            &result,
-            injector.log(),
-            summary,
-            sampling,
-        ));
-    }
-
-    Ok(CampaignResult {
-        spec: spec.clone(),
-        truth,
-        tools,
-    })
-}
-
-/// [`replay_panel_with`] over the columnar layout — the campaign runners'
-/// hot path. Scores are identical to the enum-layout panel (the replay
-/// engines are differentially tested); only the scan is different.
+/// recording can serve every cell that shares it, and the caller-owned
+/// replayer reuses its scratch buffers across all of them.
 ///
 /// # Errors
 ///
@@ -413,38 +346,11 @@ pub fn replay_panel_columnar_with(
     rec: &RecordedTrace,
     replayer: &mut ColumnarReplayer,
 ) -> Result<CampaignResult, CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: rec.columnar.len(),
-        markers: MarkerCounts::of(&rec.trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-
-    let mut tools = Vec::with_capacity(PANEL.len());
-    for &name in PANEL {
-        let mut os = build_os(spec);
-        let tool = build_tool(name, spec, &mut os);
-        let mut injector = Injector::new(tool, spec.mix, spec.seed);
-        let result = replayer.replay(&rec.columnar, &mut os, &mut injector);
-        let summary = injector.survival();
-        let sampling = injector.sampling();
-        tools.push(score(
-            name,
-            spec,
-            &truth,
-            &truth_set,
-            &os,
-            &result,
-            injector.log(),
-            summary,
-            sampling,
-        ));
-    }
-
+    let truth = ground_truth(spec, rec)?;
+    let tools = PANEL
+        .iter()
+        .map(|&name| replay_tool(name, spec, &truth, rec, replayer))
+        .collect();
     Ok(CampaignResult {
         spec: spec.clone(),
         truth,
@@ -457,50 +363,8 @@ pub fn replay_panel_columnar_with(
 /// A fleet sweeps hundreds-to-thousands of cells and only scores SafeMem's
 /// detection probability, so running the full differential panel per cell
 /// would quintuple the work for numbers the fleet scorecard never reads.
-/// The SafeMem run is identical to the panel's (same builder, same
-/// seed-derived sampling stream, same injector), so a fleet cell and the
-/// matching panel cell produce the same `safemem` score.
-///
-/// # Errors
-///
-/// Returns [`CampaignError`] if the spec names an unknown workload.
-pub fn replay_safemem_with(
-    spec: &CampaignSpec,
-    trace: &Trace,
-    replayer: &mut Replayer,
-) -> Result<(GroundTruth, ToolScore), CampaignError> {
-    let workload = workload_by_name(&spec.workload)
-        .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
-        bug: workload.spec().bug,
-        leak_groups: workload.true_leak_groups(),
-        expects_corruption: !workload.spec().bug.is_leak(),
-        trace_ops: trace.len(),
-        markers: MarkerCounts::of(trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-    let mut os = build_os(spec);
-    let tool = build_tool("safemem", spec, &mut os);
-    let mut injector = Injector::new(tool, spec.mix, spec.seed);
-    let result = replayer.replay(trace, &mut os, &mut injector);
-    let summary = injector.survival();
-    let sampling = injector.sampling();
-    let tool_score = score(
-        "safemem",
-        spec,
-        &truth,
-        &truth_set,
-        &os,
-        &result,
-        injector.log(),
-        summary,
-        sampling,
-    );
-    Ok((truth, tool_score))
-}
-
-/// [`replay_safemem_with`] over the columnar layout — the fleet's
-/// per-process cell executor.
+/// The SafeMem run is the panel's own (same per-tool replay), so a fleet
+/// cell and the matching panel cell produce the same `safemem` score.
 ///
 /// # Errors
 ///
@@ -510,51 +374,43 @@ pub fn replay_safemem_columnar_with(
     rec: &RecordedTrace,
     replayer: &mut ColumnarReplayer,
 ) -> Result<(GroundTruth, ToolScore), CampaignError> {
+    let truth = ground_truth(spec, rec)?;
+    let score = replay_tool("safemem", spec, &truth, rec, replayer);
+    Ok((truth, score))
+}
+
+/// What the spec's workload plants, as recorded in `rec`.
+fn ground_truth(spec: &CampaignSpec, rec: &RecordedTrace) -> Result<GroundTruth, CampaignError> {
     let workload = workload_by_name(&spec.workload)
         .ok_or_else(|| CampaignError(format!("unknown workload {:?}", spec.workload)))?;
-    let truth = GroundTruth {
+    Ok(GroundTruth {
         bug: workload.spec().bug,
         leak_groups: workload.true_leak_groups(),
         expects_corruption: !workload.spec().bug.is_leak(),
         trace_ops: rec.columnar.len(),
-        markers: MarkerCounts::of(&rec.trace),
-    };
-    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
-    let mut os = build_os(spec);
-    let tool = build_tool("safemem", spec, &mut os);
-    let mut injector = Injector::new(tool, spec.mix, spec.seed);
-    let result = replayer.replay(&rec.columnar, &mut os, &mut injector);
-    let summary = injector.survival();
-    let sampling = injector.sampling();
-    let tool_score = score(
-        "safemem",
-        spec,
-        &truth,
-        &truth_set,
-        &os,
-        &result,
-        injector.log(),
-        summary,
-        sampling,
-    );
-    Ok((truth, tool_score))
+        markers: MarkerCounts::of(&rec.columnar),
+    })
 }
 
-/// Classifies one tool's reports against the ground truth.
-#[allow(clippy::too_many_arguments)]
-fn score(
+/// Replays `rec` through one panel tool on a fresh machine under the spec's
+/// injection mix, and classifies the tool's reports against the ground
+/// truth.
+fn replay_tool(
     tool: &'static str,
     spec: &CampaignSpec,
     truth: &GroundTruth,
-    truth_set: &HashSet<GroupKey>,
-    os: &Os,
-    result: &safemem_workloads::RunResult,
-    injected: InjectionLog,
-    summary: Option<SurvivalSummary>,
-    sampling: Option<SamplingSummary>,
+    rec: &RecordedTrace,
+    replayer: &mut ColumnarReplayer,
 ) -> ToolScore {
+    let mut os = build_os(spec);
+    let inner = build_tool(tool, spec, &mut os);
+    let mut injector = Injector::new(inner, spec.mix, spec.seed);
+    let result = replayer.replay(&rec.columnar, &mut os, &mut injector);
+    let injected = injector.log();
+
     // `leak_groups()` is already deduped, so one pass partitions it into
     // true and false positives.
+    let truth_set: HashSet<GroupKey> = truth.leak_groups.iter().copied().collect();
     let mut leaks_found = 0usize;
     let mut false_leaks = 0usize;
     for g in result.leak_groups() {
@@ -584,9 +440,8 @@ fn score(
     let hardware_misattributions =
         (hardware_reports + hardware_panics).saturating_sub(injected.multi_bit_bursts);
 
-    let _ = spec;
-    let survival = match (&summary, truth.markers.total()) {
-        (Some(s), n) if n > 0 => Some(SurvivalScore::of(s, &truth.markers, hardware_panics)),
+    let survival = match (injector.survival(), truth.markers.total()) {
+        (Some(s), n) if n > 0 => Some(SurvivalScore::of(&s, &truth.markers, hardware_panics)),
         _ => None,
     };
     ToolScore {
@@ -605,7 +460,7 @@ fn score(
         expects_corruption: truth.expects_corruption,
         survival,
         heap_stats: result.heap_stats,
-        sampling,
+        sampling: injector.sampling(),
     }
 }
 

@@ -1,6 +1,7 @@
-//! Sharded campaign execution: a hand-rolled scoped worker pool that fans a
-//! seeds × workloads campaign matrix across N threads **without giving up
-//! byte-identical scorecards**.
+//! Sharded campaign execution: the one record/replay/fold core every
+//! campaign runner shares — a hand-rolled scoped worker pool that fans a
+//! campaign matrix across N threads **without giving up byte-identical
+//! scorecards**.
 //!
 //! # The determinism-under-parallelism invariant
 //!
@@ -10,28 +11,37 @@
 //! injector derives its decision stream from the cell's campaign seed alone
 //! (see [`SmRng::keyed`](crate::rng::SmRng::keyed)). Workers therefore share
 //! **no** mutable simulation state — the shared objects are atomic cursors
-//! handing out work indices and, under [`TraceMode::Memoized`], *immutable*
-//! recorded traces behind `Arc`. Scheduling decides *when* a cell runs,
-//! never *what* it computes, and results are re-assembled in cell-index
-//! order before aggregation. The aggregate scorecard is byte-identical for
-//! any thread count and any interleaving; `tests/parallel_determinism.rs`
-//! pins this for 1, 2, and 8 threads.
+//! handing out work indices, *immutable* recorded traces behind `Arc`, and
+//! the caller's fold sink, whose folds are order-independent sums or are
+//! re-sorted by cell index. Scheduling decides *when* a cell runs, never
+//! *what* it computes, and a failing run reports its lowest-indexed error.
+//! The aggregate scorecard is byte-identical for any thread count and any
+//! interleaving; `tests/parallel_determinism.rs` pins this for 1, 2, and 8
+//! threads.
 //!
 //! # Record once, replay many
 //!
 //! A recorded trace is a pure function of the spec fields that feed the
 //! recording run ([`TraceKey`]: workload, workload seed, request count, and
 //! the OS/controller shape). Within a preset sweep every seed shares those
-//! fields, so a harsh 32 × 5 matrix has only 5 distinct traces. The runner
+//! fields, so a harsh 32 × 5 matrix has only 5 distinct traces. The core
 //! exploits this in two phases: phase one shards the *unique* trace keys
-//! across the workers and records each exactly once; after a barrier, phase
-//! two shards the cells, each replaying its panel against the shared
-//! `Arc<Trace>`. [`TraceMode::FreshRecord`] disables the sharing and records
-//! per cell — the CI determinism gate diffs the two modes' scorecards.
+//! across the workers and records each exactly once (or loads it from a
+//! [`TraceCorpus`]); after a barrier, phase two shards the cells, each
+//! replaying against the shared `Arc<RecordedTrace>` and folding its result
+//! into the caller's sink. [`TraceMode::FreshRecord`] disables the sharing
+//! and records per cell — the CI determinism gate diffs the two modes'
+//! scorecards.
+//!
+//! [`run_matrix_with`], [`run_matrix_streamed_corpus`], the fleet
+//! campaign's phase B and the fleet sweep are each this core with a
+//! different replay closure and fold sink.
 //!
 //! Per-worker timing and injection counters ([`WorkerReport`]) are the one
 //! deliberately schedule-dependent output: they describe the execution, not
 //! the experiment, and are rendered separately from the scorecard.
+//!
+//! [`run_matrix_streamed_corpus`]: crate::stream::run_matrix_streamed_corpus
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,8 +52,11 @@ use safemem_ecc::EccMode;
 use safemem_os::SwapPolicy;
 use safemem_workloads::{workload_by_name, ColumnarReplayer};
 
+use crate::corpus::{obtain_campaign_trace, TraceCorpus};
+use crate::inject::InjectionLog;
 use crate::oracle::{
-    record_campaign_trace, replay_panel_columnar_with, CampaignError, CampaignResult, RecordedTrace,
+    replay_panel_columnar_with, CampaignError, CampaignResult, GroundTruth, RecordedTrace,
+    ToolScore,
 };
 use crate::spec::CampaignSpec;
 
@@ -187,59 +200,76 @@ pub struct MatrixReport {
     pub wall: Duration,
 }
 
-/// Sums a campaign's injection events over the whole panel.
-pub(crate) fn injection_events(result: &CampaignResult) -> u64 {
-    result
-        .tools
-        .iter()
-        .map(|t| {
-            let log = t.injected;
-            log.data_bit_flips
-                + log.code_bit_flips
-                + log.multi_bit_bursts
-                + log.forced_scrub_cycles
-                + log.dma_transfers
-                + log.dma_faults
-        })
-        .sum()
+/// Injection events of every kind in one replay: bit flips, bursts, forced
+/// scrubs, DMA transfers and DMA faults.
+fn events(log: &InjectionLog) -> u64 {
+    log.data_bit_flips
+        + log.code_bit_flips
+        + log.multi_bit_bursts
+        + log.forced_scrub_cycles
+        + log.dma_transfers
+        + log.dma_faults
 }
 
-/// Runs every spec in the matrix across `threads` workers and reassembles
-/// the results in cell order, sharing recorded traces ([`TraceMode::Memoized`]).
+/// A replayed cell's result, as the core's per-worker accounting sees it.
+pub(crate) trait CellOutcome {
+    /// Injection events the cell's replay caused, summed over its tools.
+    fn injection_events(&self) -> u64;
+}
+
+impl CellOutcome for CampaignResult {
+    fn injection_events(&self) -> u64 {
+        self.tools.iter().map(|t| events(&t.injected)).sum()
+    }
+}
+
+impl CellOutcome for (GroundTruth, ToolScore) {
+    fn injection_events(&self) -> u64 {
+        events(&self.1.injected)
+    }
+}
+
+/// What the core hands back: the caller's fold sink after every cell was
+/// folded in, plus the execution telemetry.
+pub(crate) struct PoolRun<S> {
+    /// The fold sink.
+    pub(crate) sink: S,
+    /// Per-worker execution telemetry, sorted by worker index.
+    pub(crate) workers: Vec<WorkerReport>,
+    /// Worker threads actually spawned (the requested count, capped at the
+    /// cell count).
+    pub(crate) threads: usize,
+}
+
+/// The record/replay/fold core. Records each unique [`TraceKey`] of `specs`
+/// once (from `corpus` when one is configured) under
+/// [`TraceMode::Memoized`], or per cell under [`TraceMode::FreshRecord`];
+/// then replays every cell with `replay` on a worker's reusable
+/// [`ColumnarReplayer`] and folds the outcome into `sink` with `fold`
+/// (under a lock, so folds run one at a time in completion order).
+///
+/// An atomic cursor hands out cells (dynamic self-scheduling, so an
+/// expensive cell does not stall a whole stripe). Determinism is unaffected
+/// because the shared traces are immutable and each equals what the cell
+/// would have recorded privately (see the module docs).
 ///
 /// # Errors
 ///
-/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), so the reported error does not depend on
-/// scheduling either.
-pub fn run_matrix(specs: &[CampaignSpec], threads: usize) -> Result<MatrixReport, CampaignError> {
-    run_matrix_with(specs, threads, TraceMode::default())
-}
-
-/// Runs every spec in the matrix across `threads` workers and reassembles
-/// the results in cell order.
-///
-/// Under [`TraceMode::Memoized`] the workers first shard the matrix's
-/// *unique* [`TraceKey`]s and record each once; a barrier then releases the
-/// replay phase, where an atomic cursor hands out cells (dynamic
-/// self-scheduling, so an expensive cell does not stall a whole stripe) and
-/// each cell replays the shared `Arc<Trace>` for its key. Determinism is
-/// unaffected because the shared traces are immutable and each equals what
-/// the cell would have recorded privately (see the module docs).
-///
-/// # Errors
-///
-/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
-/// remaining cells still run), so the reported error does not depend on
-/// scheduling either. A failed *recording* fails every cell that shares the
-/// key, which includes the lowest-indexed one.
-pub fn run_matrix_with(
+/// Returns the lowest-cell-index [`CampaignError`] from recording,
+/// replaying or folding (the remaining cells still run), so the reported
+/// error does not depend on scheduling. A failed *recording* fails every
+/// cell that shares the key, which includes the lowest-indexed one.
+pub(crate) fn run_cells<T: CellOutcome, S: Send>(
     specs: &[CampaignSpec],
     threads: usize,
     mode: TraceMode,
-) -> Result<MatrixReport, CampaignError> {
+    corpus: Option<&TraceCorpus>,
+    replay: impl Fn(&CampaignSpec, &RecordedTrace, &mut ColumnarReplayer) -> Result<T, CampaignError>
+        + Sync,
+    sink: S,
+    fold: impl Fn(&mut S, usize, T) -> Result<(), CampaignError> + Sync,
+) -> Result<PoolRun<S>, CampaignError> {
     let threads = threads.max(1).min(specs.len().max(1));
-    let start = Instant::now();
 
     // Map each cell to its trace slot. Under FreshRecord the table is empty
     // and every cell records privately in phase two.
@@ -263,8 +293,8 @@ pub fn run_matrix_with(
     let record_cursor = AtomicUsize::new(0);
     let cell_cursor = AtomicUsize::new(0);
     let barrier = Barrier::new(threads);
-    let cells: Mutex<Vec<(usize, Result<CampaignResult, CampaignError>)>> =
-        Mutex::new(Vec::with_capacity(specs.len()));
+    let sink = Mutex::new(sink);
+    let first_error: Mutex<Option<(usize, CampaignError)>> = Mutex::new(None);
     let workers: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
 
     std::thread::scope(|scope| {
@@ -272,13 +302,15 @@ pub fn run_matrix_with(
             let record_cursor = &record_cursor;
             let cell_cursor = &cell_cursor;
             let barrier = &barrier;
-            let cells = &cells;
+            let sink = &sink;
+            let first_error = &first_error;
             let workers = &workers;
             let slots = &slots;
             let slot_spec = &slot_spec;
             let slot_of_cell = &slot_of_cell;
+            let replay = &replay;
+            let fold = &fold;
             scope.spawn(move || {
-                let mut mine = Vec::new();
                 let mut replayer = ColumnarReplayer::new();
                 let mut report = WorkerReport {
                     worker,
@@ -295,48 +327,58 @@ pub fn run_matrix_with(
                         break;
                     };
                     let t0 = Instant::now();
-                    let recorded = record_campaign_trace(spec).map(Arc::new);
+                    let recorded = obtain_campaign_trace(spec, corpus).map(|(trace, fresh)| {
+                        report.traces_recorded += usize::from(fresh);
+                        Arc::new(trace)
+                    });
                     report.busy += t0.elapsed();
-                    report.traces_recorded += 1;
                     slots[slot]
                         .set(recorded)
                         .expect("the cursor hands each slot to one worker");
                 }
                 barrier.wait();
 
-                // Phase two: replay the panel for every cell.
+                // Phase two: replay every cell and fold it into the sink.
                 loop {
                     let index = cell_cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(index) else {
                         break;
                     };
                     let t0 = Instant::now();
-                    let result = match mode {
+                    let outcome = match mode {
                         TraceMode::Memoized => {
-                            let slot = &slots[slot_of_cell[index]];
-                            match slot.get().expect("phase one filled every slot") {
-                                Ok(trace) => replay_panel_columnar_with(spec, trace, &mut replayer),
+                            match slots[slot_of_cell[index]]
+                                .get()
+                                .expect("phase one filled every slot")
+                            {
+                                Ok(trace) => replay(spec, trace, &mut replayer),
                                 Err(e) => Err(e.clone()),
                             }
                         }
                         TraceMode::FreshRecord => {
-                            report.traces_recorded += 1;
-                            record_campaign_trace(spec).and_then(|trace| {
-                                replay_panel_columnar_with(spec, &trace, &mut replayer)
+                            obtain_campaign_trace(spec, corpus).and_then(|(trace, fresh)| {
+                                report.traces_recorded += usize::from(fresh);
+                                replay(spec, &trace, &mut replayer)
                             })
                         }
                     };
                     report.busy += t0.elapsed();
                     report.campaigns += 1;
-                    if let Ok(r) = &result {
-                        report.injection_events += injection_events(r);
+                    let folded = outcome.and_then(|outcome| {
+                        report.injection_events += outcome.injection_events();
+                        fold(
+                            &mut sink.lock().expect("no panics hold the sink lock"),
+                            index,
+                            outcome,
+                        )
+                    });
+                    if let Err(e) = folded {
+                        let mut lowest = first_error.lock().expect("no panics hold the error lock");
+                        if lowest.as_ref().is_none_or(|(i, _)| index < *i) {
+                            *lowest = Some((index, e));
+                        }
                     }
-                    mine.push((index, result));
                 }
-                cells
-                    .lock()
-                    .expect("no panics hold the cell lock")
-                    .extend(mine);
                 workers
                     .lock()
                     .expect("no panics hold the worker lock")
@@ -345,19 +387,62 @@ pub fn run_matrix_with(
         }
     });
 
-    let mut cells = cells.into_inner().expect("scope joined all workers");
-    cells.sort_by_key(|(index, _)| *index);
-    let mut results = Vec::with_capacity(cells.len());
-    for (_, result) in cells {
-        results.push(result?);
+    if let Some((_, e)) = first_error.into_inner().expect("scope joined all workers") {
+        return Err(e);
     }
     let mut workers = workers.into_inner().expect("scope joined all workers");
     workers.sort_by_key(|w| w.worker);
-
-    Ok(MatrixReport {
-        results,
+    Ok(PoolRun {
+        sink: sink.into_inner().expect("scope joined all workers"),
         workers,
         threads,
+    })
+}
+
+/// Runs every spec in the matrix across `threads` workers and reassembles
+/// the results in cell order, sharing recorded traces ([`TraceMode::Memoized`]).
+///
+/// # Errors
+///
+/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
+/// remaining cells still run), so the reported error does not depend on
+/// scheduling either.
+pub fn run_matrix(specs: &[CampaignSpec], threads: usize) -> Result<MatrixReport, CampaignError> {
+    run_matrix_with(specs, threads, TraceMode::default())
+}
+
+/// Runs every spec in the matrix across `threads` workers through the whole
+/// panel and reassembles the results in cell order.
+///
+/// # Errors
+///
+/// Returns the lowest-cell-index [`CampaignError`] if any cell fails (the
+/// remaining cells still run), so the reported error does not depend on
+/// scheduling either.
+pub fn run_matrix_with(
+    specs: &[CampaignSpec],
+    threads: usize,
+    mode: TraceMode,
+) -> Result<MatrixReport, CampaignError> {
+    let start = Instant::now();
+    let run = run_cells(
+        specs,
+        threads,
+        mode,
+        None,
+        replay_panel_columnar_with,
+        Vec::with_capacity(specs.len()),
+        |cells: &mut Vec<(usize, CampaignResult)>, index, result| {
+            cells.push((index, result));
+            Ok(())
+        },
+    )?;
+    let mut cells = run.sink;
+    cells.sort_by_key(|(index, _)| *index);
+    Ok(MatrixReport {
+        results: cells.into_iter().map(|(_, result)| result).collect(),
+        workers: run.workers,
+        threads: run.threads,
         wall: start.elapsed(),
     })
 }

@@ -13,6 +13,10 @@
 //! itself implemented as a fold over a [`StreamAggregate`], so the two
 //! paths share one renderer and cannot drift.
 //!
+//! Streaming and collecting are the same record/replay/fold core
+//! ([`runner`](crate::runner)) with different fold sinks: this module's
+//! sink is the aggregate, the collected runner's a cell-ordered `Vec`.
+//!
 //! The one exception is frontier rows, whose *order* is first-appearance
 //! (the ladder order). Under streaming, first-appearance would depend on
 //! scheduling, so [`StreamAggregate::with_frontier`] pre-registers the rows
@@ -20,20 +24,13 @@
 //!
 //! [`render_aggregate`]: crate::scorecard::render_aggregate
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use safemem_workloads::ColumnarReplayer;
-
-use crate::corpus::{obtain_campaign_trace, TraceCorpus};
+use crate::corpus::TraceCorpus;
 use crate::frontier::{render_frontier, FrontierRow};
-use crate::oracle::{
-    replay_panel_columnar_with, CampaignError, CampaignResult, RecordedTrace, PANEL,
-};
-use crate::runner::{injection_events, TraceKey, TraceMode, WorkerReport};
+use crate::oracle::{replay_panel_columnar_with, CampaignError, CampaignResult, PANEL};
+use crate::runner::{run_cells, TraceMode, WorkerReport};
 use crate::scorecard::render_campaign;
 use crate::spec::CampaignSpec;
 
@@ -294,9 +291,7 @@ pub struct StreamReport {
 /// result is folded into `aggregate` the moment it finishes and then
 /// dropped — peak memory stays bounded by the aggregate's
 /// [`footprint`](StreamAggregate::footprint) no matter how many cells the
-/// matrix has. Identical two-phase record/replay structure: unique traces
-/// are recorded once, a barrier releases the replay phase, and an atomic
-/// cursor hands out cells.
+/// matrix has.
 ///
 /// With `verbose`, the rendered per-campaign card of every cell is also
 /// collected (returned in cell order) — that path is deliberately *not*
@@ -333,148 +328,29 @@ pub fn run_matrix_streamed_corpus(
     aggregate: StreamAggregate,
     corpus: Option<&TraceCorpus>,
 ) -> Result<StreamReport, CampaignError> {
-    let threads = threads.max(1).min(specs.len().max(1));
     let start = Instant::now();
-
-    let mut key_index: HashMap<TraceKey, usize> = HashMap::new();
-    let mut slot_of_cell: Vec<usize> = Vec::new();
-    let mut slot_spec: Vec<&CampaignSpec> = Vec::new();
-    if mode == TraceMode::Memoized {
-        slot_of_cell.reserve(specs.len());
-        for spec in specs {
-            let next = key_index.len();
-            let slot = *key_index.entry(TraceKey::of(spec)).or_insert(next);
-            if slot == next {
-                slot_spec.push(spec);
-            }
-            slot_of_cell.push(slot);
-        }
-    }
-    let slots: Vec<OnceLock<Result<Arc<RecordedTrace>, CampaignError>>> =
-        (0..slot_spec.len()).map(|_| OnceLock::new()).collect();
-
-    let record_cursor = AtomicUsize::new(0);
-    let cell_cursor = AtomicUsize::new(0);
-    let barrier = Barrier::new(threads);
-    let aggregate = Mutex::new(aggregate);
-    let cards: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    // The lowest-indexed failing cell, so the reported error matches the
-    // collected runner's for any scheduling.
-    let first_error: Mutex<Option<(usize, CampaignError)>> = Mutex::new(None);
-    let workers: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(threads));
-
-    std::thread::scope(|scope| {
-        for worker in 0..threads {
-            let record_cursor = &record_cursor;
-            let cell_cursor = &cell_cursor;
-            let barrier = &barrier;
-            let aggregate = &aggregate;
-            let cards = &cards;
-            let first_error = &first_error;
-            let workers = &workers;
-            let slots = &slots;
-            let slot_spec = &slot_spec;
-            let slot_of_cell = &slot_of_cell;
-            scope.spawn(move || {
-                let mut replayer = ColumnarReplayer::new();
-                let mut report = WorkerReport {
-                    worker,
-                    campaigns: 0,
-                    traces_recorded: 0,
-                    busy: Duration::ZERO,
-                    injection_events: 0,
-                };
-
-                // Phase one: record each unique trace exactly once.
-                loop {
-                    let slot = record_cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = slot_spec.get(slot).copied() else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let recorded = obtain_campaign_trace(spec, corpus).map(|(trace, fresh)| {
-                        if fresh {
-                            report.traces_recorded += 1;
-                        }
-                        Arc::new(trace)
-                    });
-                    report.busy += t0.elapsed();
-                    slots[slot]
-                        .set(recorded)
-                        .expect("the cursor hands each slot to one worker");
-                }
-                barrier.wait();
-
-                // Phase two: replay, fold, drop.
-                loop {
-                    let index = cell_cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(index) else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let result = match mode {
-                        TraceMode::Memoized => {
-                            let slot = &slots[slot_of_cell[index]];
-                            match slot.get().expect("phase one filled every slot") {
-                                Ok(trace) => replay_panel_columnar_with(spec, trace, &mut replayer),
-                                Err(e) => Err(e.clone()),
-                            }
-                        }
-                        TraceMode::FreshRecord => {
-                            obtain_campaign_trace(spec, corpus).and_then(|(trace, fresh)| {
-                                if fresh {
-                                    report.traces_recorded += 1;
-                                }
-                                replay_panel_columnar_with(spec, &trace, &mut replayer)
-                            })
-                        }
-                    };
-                    report.busy += t0.elapsed();
-                    report.campaigns += 1;
-                    match result {
-                        Ok(result) => {
-                            report.injection_events += injection_events(&result);
-                            if verbose {
-                                cards
-                                    .lock()
-                                    .expect("no panics hold the card lock")
-                                    .push((index, render_campaign(&result)));
-                            }
-                            aggregate
-                                .lock()
-                                .expect("no panics hold the aggregate lock")
-                                .fold(&result);
-                        }
-                        Err(e) => {
-                            let mut slot =
-                                first_error.lock().expect("no panics hold the error lock");
-                            if slot.as_ref().is_none_or(|(lowest, _)| index < *lowest) {
-                                *slot = Some((index, e));
-                            }
-                        }
-                    }
-                }
-                workers
-                    .lock()
-                    .expect("no panics hold the worker lock")
-                    .push(report);
-            });
-        }
-    });
-
-    if let Some((_, e)) = first_error.into_inner().expect("scope joined all workers") {
-        return Err(e);
-    }
-    let mut cards = cards.into_inner().expect("scope joined all workers");
-    cards.sort_by_key(|(index, _)| *index);
-    let mut workers = workers.into_inner().expect("scope joined all workers");
-    workers.sort_by_key(|w| w.worker);
-
-    Ok(StreamReport {
-        aggregate: aggregate.into_inner().expect("scope joined all workers"),
-        cards,
-        workers,
+    let run = run_cells(
+        specs,
         threads,
+        mode,
+        corpus,
+        replay_panel_columnar_with,
+        (aggregate, Vec::new()),
+        |(aggregate, cards): &mut (StreamAggregate, Vec<(usize, String)>), index, result| {
+            if verbose {
+                cards.push((index, render_campaign(&result)));
+            }
+            aggregate.fold(&result);
+            Ok(())
+        },
+    )?;
+    let (aggregate, mut cards) = run.sink;
+    cards.sort_by_key(|(index, _)| *index);
+    Ok(StreamReport {
+        aggregate,
+        cards,
+        workers: run.workers,
+        threads: run.threads,
         wall: start.elapsed(),
     })
 }

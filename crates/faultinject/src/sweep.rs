@@ -7,11 +7,12 @@
 //! smallest fleet size past which detection is effectively certain, and
 //! shrinking the rate just slides the knee to larger fleets. The sweep
 //! measures that surface empirically: it grids sampling rate × fleet size
-//! over **shared recorded traces** (the [`TraceKey`] excludes the sampling
-//! rate, so three recorded churn traces serve every grid cell), replays
-//! each (rate, process) cell once under SafeMem, and scores each grid
-//! point's observed fleet-level detection against the prediction with the
-//! same 6σ binomial band the fleet campaign uses.
+//! over **shared recorded traces** (the [`TraceKey`](crate::TraceKey)
+//! excludes the sampling rate, so three recorded churn traces serve every
+//! grid cell), replays each (rate, process) cell once under SafeMem on the
+//! shared record/replay/fold core ([`runner`](crate::runner)), and scores
+//! each grid point's observed fleet-level detection against the prediction
+//! with the same 6σ binomial band the fleet campaign uses.
 //!
 //! Fleet sizes are *prefixes* of one expansion: process `pid` runs the same
 //! spec at every size ([`expand_fleet`] keys each pid's spec on `seed0 +
@@ -19,20 +20,15 @@
 //! first `n` per-process outcomes of the size-`n_max` replay — every cell
 //! is replayed exactly once for the whole sweep.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use safemem_core::PPM;
-use safemem_workloads::apps::ChurnKind;
-use safemem_workloads::ColumnarReplayer;
 
-use crate::corpus::{obtain_campaign_trace, TraceCorpus};
-use crate::fleet::expand_fleet;
-use crate::oracle::{replay_safemem_columnar_with, CampaignError, RecordedTrace};
-use crate::runner::TraceKey;
+use crate::corpus::TraceCorpus;
+use crate::fleet::{detects, expand_fleet, kind_of};
+use crate::oracle::{replay_safemem_columnar_with, CampaignError};
+use crate::runner::{run_cells, TraceMode};
 use crate::spec::CampaignSpec;
 
 /// Default sampling-rate axis, parts-per-million: 1% to 50%.
@@ -242,72 +238,24 @@ pub fn run_fleet_sweep(
         }
     }
 
-    // Record the unique traces up front (three for the churn family — the
-    // key excludes sampling, so rates share them).
-    let mut key_slot: HashMap<TraceKey, usize> = HashMap::new();
-    let mut slot_of_cell: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut traces: Vec<Arc<RecordedTrace>> = Vec::new();
-    for cell in &cells {
-        let next = key_slot.len();
-        let slot = *key_slot.entry(TraceKey::of(cell)).or_insert(next);
-        if slot == next {
-            let (trace, _fresh) = obtain_campaign_trace(cell, corpus)?;
-            traces.push(Arc::new(trace));
-        }
-        slot_of_cell.push(slot);
-    }
-
-    // Replay every cell on the scoped pool. Results land in index order
-    // after the sort, so the grid is independent of worker scheduling.
-    let threads = threads.max(1).min(cells.len());
-    let cursor = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, bool, u64)>> = Mutex::new(Vec::with_capacity(cells.len()));
-    let first_error: Mutex<Option<(usize, CampaignError)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let results = &results;
-            let first_error = &first_error;
-            let cells = &cells;
-            let slot_of_cell = &slot_of_cell;
-            let traces = &traces;
-            scope.spawn(move || {
-                let mut replayer = ColumnarReplayer::new();
-                loop {
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(index) else {
-                        break;
-                    };
-                    let trace = &traces[slot_of_cell[index]];
-                    match replay_safemem_columnar_with(cell, trace, &mut replayer) {
-                        Ok((truth, score)) => {
-                            let detected = match kind_of_cell(cell) {
-                                ChurnKind::Leak => score.leaks_found == truth.leak_groups.len(),
-                                ChurnKind::UseAfterFree | ChurnKind::Overflow => {
-                                    score.corruption_found
-                                }
-                            };
-                            results
-                                .lock()
-                                .expect("no panics hold the results lock")
-                                .push((index, detected, score.false_positives()));
-                        }
-                        Err(e) => {
-                            let mut slot =
-                                first_error.lock().expect("no panics hold the error lock");
-                            if slot.as_ref().is_none_or(|(lowest, _)| index < *lowest) {
-                                *slot = Some((index, e));
-                            }
-                        }
-                    }
-                }
-            });
-        }
-    });
-    if let Some((_, e)) = first_error.into_inner().expect("scope joined all workers") {
-        return Err(e);
-    }
-    let mut results = results.into_inner().expect("scope joined all workers");
+    // Replay every cell on the shared core; the three unique traces (the
+    // key excludes sampling, so rates share them) are recorded once.
+    // Results land in index order after the sort, so the grid is
+    // independent of worker scheduling.
+    let run = run_cells(
+        &cells,
+        threads,
+        TraceMode::Memoized,
+        corpus,
+        replay_safemem_columnar_with,
+        Vec::with_capacity(cells.len()),
+        |results: &mut Vec<(usize, bool, u64)>, index, (truth, score)| {
+            let detected = detects(kind_of(&cells[index])?, &truth, &score);
+            results.push((index, detected, score.false_positives()));
+            Ok(())
+        },
+    )?;
+    let mut results = run.sink;
     results.sort_by_key(|(index, _, _)| *index);
 
     // Score the grid: point (rate, n) folds the first n pids of its rate's
@@ -354,16 +302,6 @@ pub fn run_fleet_sweep(
         cells: cells.len() as u64,
         wall: start.elapsed(),
     })
-}
-
-/// The churn kind of a sweep cell (infallible: the cells come from
-/// [`expand_fleet`], which only emits the churn family).
-fn kind_of_cell(cell: &CampaignSpec) -> ChurnKind {
-    match cell.workload.as_str() {
-        "churn-leak" => ChurnKind::Leak,
-        "churn-uaf" => ChurnKind::UseAfterFree,
-        _ => ChurnKind::Overflow,
-    }
 }
 
 /// Renders the sweep scorecard: the grid table (rate-major), the per-rate

@@ -6,7 +6,6 @@ use safemem_faultinject::{
     expand_fleet, fleet_process_specs, render_fleet, render_fleet_bench_json, run_fleet,
     run_fleet_sharded, BenchRun, CampaignSpec, SmRng, TraceMode, SAMPLING_STREAM,
 };
-use safemem_fleet::{Fleet, FleetConfig};
 
 /// A small fleet that still exercises every moving part: 24 processes,
 /// 8 per churn class, at the preset's 0.2 sampling rate.
@@ -144,36 +143,6 @@ fn sharded_campaign_matches_the_single_machine_reference() {
         );
         assert_eq!(sharded.shards, shards.min(specs.len()));
     }
-}
-
-#[test]
-fn epoch_batched_and_eager_leak_checks_detect_identically_on_the_fleet_path() {
-    // The fleet-path mirror of the single-process epoch differential, on
-    // the golden fleet's seeds: batching leak-check deadlines at epoch
-    // boundaries must not change a single detection field — per-process
-    // flags, per-class tallies, or false positives.
-    let specs = expand_fleet(SMALL_FLEET, 0, None).expect("valid fleet");
-    let procs = fleet_process_specs(&specs).expect("churn cells");
-    let batched = Fleet::boot(
-        &procs,
-        FleetConfig {
-            epoch_batch: true,
-            ..FleetConfig::default()
-        },
-    )
-    .run();
-    let eager = Fleet::boot(
-        &procs,
-        FleetConfig {
-            epoch_batch: false,
-            ..FleetConfig::default()
-        },
-    )
-    .run();
-    assert_eq!(batched.detected, eager.detected, "per-process detection");
-    assert_eq!(batched.tallies, eager.tallies, "per-class detection fields");
-    assert_eq!(batched.false_positives(), 0);
-    assert_eq!(eager.false_positives(), 0);
 }
 
 #[test]

@@ -7,21 +7,24 @@
 //!    byte-identical `CampaignResult`s to re-recording per cell, over the
 //!    same 8-seed harsh matrix the golden scorecard freezes.
 //! 2. **Incremental vs naive leak checks** — replaying a real recorded
-//!    trace through SafeMem with the deadline-scheduled detector must match
-//!    the full-scan reference detector result-for-result.
-//! 3. **Replayer vs naive replay** — the allocation-free [`Replayer`] must
-//!    agree with the self-contained `Trace::replay_naive` on arbitrary
-//!    well-formed synthetic traces.
+//!    trace through SafeMem with the epoch-batched deadline schedule must
+//!    match the full-scan reference detector result-for-result.
+//! 3. **Columnar vs naive replay** — the production [`ColumnarReplayer`]
+//!    must agree with the self-contained `Trace::replay_naive` oracle on
+//!    every golden-matrix recording under every panel tool, and on
+//!    arbitrary well-formed synthetic traces.
 
 use proptest::prelude::*;
-use safemem_core::{IncidentClass, LeakConfig, SafeMem};
+use safemem_baselines::{Memcheck, PageGuard, Purify};
+use safemem_core::{IncidentClass, LeakConfig, MemTool, NullTool, SafeMem, SamplingPlan};
 use safemem_faultinject::{
     expand_frontier, expand_matrix, record_campaign_trace, record_trace,
-    replay_panel_columnar_with, replay_panel_with, run_matrix_streamed, run_matrix_streamed_corpus,
-    run_matrix_with, CampaignSpec, CorpusMode, StreamAggregate, TraceCorpus, TraceKey, TraceMode,
+    replay_panel_columnar_with, run_matrix_streamed, run_matrix_streamed_corpus, run_matrix_with,
+    CampaignSpec, CorpusMode, Injector, SmRng, StreamAggregate, TraceCorpus, TraceKey, TraceMode,
+    PANEL, SAMPLING_STREAM,
 };
-use safemem_os::{Os, OsConfig};
-use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Replayer, Trace, TraceOp};
+use safemem_os::{Os, OsConfig, STATIC_BASE};
+use safemem_workloads::{ColumnarReplayer, ColumnarTrace, Trace, TraceOp};
 
 fn golden_matrix() -> Vec<CampaignSpec> {
     // Mirror of the golden-scorecard harness: one leak and one corruption
@@ -93,8 +96,37 @@ fn sampling_rate_does_not_perturb_the_recorded_trace() {
     assert!(a.malloc_count() > 0, "the trace allocates");
 }
 
-/// The deadline-scheduled leak detector and the naive full-scan reference
-/// produce the same run outcome on real recorded workload traces.
+/// A panel tool built as the campaign oracle builds it, so a hand-driven
+/// replay sees exactly the tool a campaign cell replays.
+fn panel_tool(name: &str, spec: &CampaignSpec, os: &mut Os) -> Box<dyn MemTool> {
+    match name {
+        "safemem" => {
+            let sampling_seed = SmRng::keyed(spec.seed, SAMPLING_STREAM).next_u64();
+            Box::new(
+                SafeMem::builder()
+                    .recovery(spec.recovery)
+                    .sampling(SamplingPlan::new(spec.sampling_ppm, sampling_seed))
+                    .build(os),
+            )
+        }
+        "purify" => {
+            let mut tool = Purify::new();
+            tool.add_root_range(STATIC_BASE, 4096);
+            Box::new(tool)
+        }
+        "memcheck" => {
+            let mut tool = Memcheck::new();
+            tool.add_root_range(STATIC_BASE, 4096);
+            Box::new(tool)
+        }
+        "pageguard" => Box::new(PageGuard::new()),
+        _ => Box::new(NullTool::new()),
+    }
+}
+
+/// The epoch-batched deadline schedule (the production leak check) and the
+/// naive full-scan reference produce the same run outcome on real recorded
+/// workload traces.
 #[test]
 fn incremental_and_naive_leak_checks_agree_on_recorded_traces() {
     for workload in ["ypserv1", "ypserv2", "proftpd", "gzip", "tar"] {
@@ -109,7 +141,7 @@ fn incremental_and_naive_leak_checks_agree_on_recorded_traces() {
                 ..LeakConfig::default()
             };
             let mut tool = SafeMem::builder().leak_config(cfg).build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
+            trace.replay(&mut os, &mut tool)
         };
         let incremental = replay(true);
         let naive = replay(false);
@@ -117,47 +149,38 @@ fn incremental_and_naive_leak_checks_agree_on_recorded_traces() {
     }
 }
 
-/// The columnar replay engine and the per-op enum replayer score every
-/// golden-matrix cell identically — the whole panel, not just SafeMem.
+/// The columnar engine and the naive replay oracle agree on every
+/// golden-matrix recording under every panel tool and its fault injection —
+/// and the campaign oracle's scores are the columnar runs' own.
 #[test]
-fn columnar_and_enum_replay_agree_on_the_golden_matrix() {
-    let mut enum_replayer = Replayer::new();
-    let mut columnar_replayer = ColumnarReplayer::new();
+fn columnar_replay_matches_naive_replay_on_the_golden_matrix() {
+    let mut replayer = ColumnarReplayer::new();
     for spec in golden_matrix() {
-        let rec = record_campaign_trace(&spec).expect("record");
-        let via_enum =
-            replay_panel_with(&spec, &rec.trace, &mut enum_replayer).expect("enum replay");
-        let via_columnar = replay_panel_columnar_with(&spec, &rec, &mut columnar_replayer)
-            .expect("columnar replay");
-        assert_eq!(
-            via_enum, via_columnar,
-            "columnar replay diverged: {} seed {}",
-            spec.workload, spec.seed
-        );
-    }
-}
-
-/// Epoch-batched leak-deadline scheduling and per-event eager rescheduling
-/// produce identical run outcomes on real recorded workload traces.
-#[test]
-fn epoch_batched_and_eager_leak_scheduling_agree_on_recorded_traces() {
-    for workload in ["ypserv1", "ypserv2", "proftpd", "gzip", "tar"] {
-        let mut spec = CampaignSpec::harsh(workload, 0);
-        spec.requests = Some(48);
         let trace = record_trace(&spec).expect("record");
-
-        let replay = |epoch_batch: bool| {
-            let mut os = os_for(&spec);
-            let cfg = LeakConfig {
-                epoch_batch,
-                ..LeakConfig::default()
+        let rec = record_campaign_trace(&spec).expect("record");
+        let campaign = replay_panel_columnar_with(&spec, &rec, &mut replayer).expect("panel");
+        for (&name, score) in PANEL.iter().zip(&campaign.tools) {
+            let mut run = |columnar: bool| {
+                let mut os = os_for(&spec);
+                let tool = panel_tool(name, &spec, &mut os);
+                let mut injector = Injector::new(tool, spec.mix, spec.seed);
+                let result = if columnar {
+                    replayer.replay(&rec.columnar, &mut os, &mut injector)
+                } else {
+                    trace.replay_naive(&mut os, &mut injector)
+                };
+                (result, injector.log(), os.machine().controller().stats())
             };
-            let mut tool = SafeMem::builder().leak_config(cfg).build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
-        };
-        let batched = replay(true);
-        let eager = replay(false);
-        assert_eq!(batched, eager, "epoch batching diverged on {workload}");
+            let naive = run(false);
+            let columnar = run(true);
+            assert_eq!(
+                naive, columnar,
+                "{name} diverged: {} seed {}",
+                spec.workload, spec.seed
+            );
+            assert_eq!(score.cpu_cycles, columnar.0.cpu_cycles, "{name}");
+            assert_eq!(score.controller, columnar.2, "{name}");
+        }
     }
 }
 
@@ -303,37 +326,12 @@ fn well_formed(ops: Vec<TraceOp>) -> Trace {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The scratch-reusing replayer and the naive HashMap-per-run replay
-    /// agree on arbitrary synthetic traces — including a second replay on
-    /// the *same* replayer, which must not leak state across runs.
-    #[test]
-    fn prop_replayer_matches_naive_replay(
-        ops in proptest::collection::vec(trace_op(24), 0..80),
-    ) {
-        let trace = well_formed(ops);
-
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let naive = trace.replay_naive(&mut os, &mut tool);
-
-        let mut replayer = Replayer::new();
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let fast = replayer.replay(&trace, &mut os, &mut tool);
-        prop_assert_eq!(&naive, &fast);
-
-        // Reuse the same replayer: stale slot state must not bleed through.
-        let mut os = Os::with_defaults(1 << 24);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let again = replayer.replay(&trace, &mut os, &mut tool);
-        prop_assert_eq!(&fast, &again);
-    }
-
-    /// The columnar engine agrees with the enum replayer on arbitrary
+    /// The columnar engine agrees with the naive replay oracle on arbitrary
     /// synthetic traces — markers, freed-access ops, and all — including a
-    /// second replay on the same [`ColumnarReplayer`].
+    /// second replay on the *same* [`ColumnarReplayer`], which must not leak
+    /// slot state across runs.
     #[test]
-    fn prop_columnar_replay_matches_enum_replay(
+    fn prop_columnar_replay_matches_naive_replay(
         ops in proptest::collection::vec(trace_op(24), 0..80),
     ) {
         let trace = well_formed(ops);
@@ -342,13 +340,13 @@ proptest! {
 
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
-        let via_enum = Replayer::new().replay(&trace, &mut os, &mut tool);
+        let naive = trace.replay_naive(&mut os, &mut tool);
 
         let mut replayer = ColumnarReplayer::new();
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);
         let via_columnar = replayer.replay(&columnar, &mut os, &mut tool);
-        prop_assert_eq!(&via_enum, &via_columnar);
+        prop_assert_eq!(&naive, &via_columnar);
 
         let mut os = Os::with_defaults(1 << 24);
         let mut tool = SafeMem::builder().build(&mut os);

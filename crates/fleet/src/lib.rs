@@ -36,17 +36,18 @@
 //!
 //! # Long horizons
 //!
-//! [`FleetConfig`] carries the paper-scale deployment knobs: epoch-batched
-//! leak checks ([`FleetConfig::epoch_batch`]), staggered process start
-//! offsets ([`FleetConfig::stagger`]), and restart churn
+//! [`FleetConfig`] carries the paper-scale deployment knobs: staggered
+//! process start offsets ([`FleetConfig::stagger`]) and restart churn
 //! ([`FleetConfig::restart_every`]) — each process can be torn down and
 //! rebooted every k requests as a fresh generation, the way production
-//! fleets roll. All three default to the pre-existing behaviour.
+//! fleets roll. Both default to the pre-existing behaviour. Every process's
+//! leak detector batches its check deadlines at epoch boundaries (see
+//! `safemem_core::leak`), which is what keeps long horizons affordable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use safemem_core::{LeakConfig, MemTool, SafeMem, SamplingPlan};
+use safemem_core::{MemTool, SafeMem, SamplingPlan};
 use safemem_ecc::ControllerStats;
 use safemem_machine::{Machine, SlotBackend};
 use safemem_os::{Os, OsConfig, SwapPolicy, PAGE_BYTES};
@@ -93,11 +94,6 @@ pub struct FleetConfig {
     pub buggy: bool,
     /// Swap policy of every process's OS.
     pub swap_policy: SwapPolicy,
-    /// Whether each process's leak detector batches check deadlines at
-    /// epoch boundaries ([`LeakConfig::epoch_batch`]) — the DoubleTake-style
-    /// batching that makes long horizons affordable. `false` keeps the
-    /// eager per-deadline reference path.
-    pub epoch_batch: bool,
     /// Staggered start offsets: process with global pid `p` idles for
     /// `p % stagger` scheduler rounds before serving its first request
     /// (0 = everyone starts at round 0). Offsets are a function of the
@@ -123,7 +119,6 @@ impl Default for FleetConfig {
             window_pages: DEFAULT_WINDOW_PAGES,
             buggy: true,
             swap_policy: SwapPolicy::PinWatchedPages,
-            epoch_batch: true,
             stagger: 0,
             restart_every: None,
             pid_base: 0,
@@ -350,10 +345,6 @@ fn boot_stack(
     slot_of(&mut os).install(machine.take().expect("shared machine in flight"));
     let tool = SafeMem::builder()
         .sampling(SamplingPlan::new(spec.sampling_ppm, sampling_seed))
-        .leak_config(LeakConfig {
-            epoch_batch: config.epoch_batch,
-            ..LeakConfig::default()
-        })
         .build(&mut os);
     park(machine, &mut os);
     (os, tool)
@@ -809,33 +800,6 @@ mod tests {
         assert!(report.detections() >= 2);
         let again = Fleet::boot(&specs, config).run();
         assert_eq!(report, again, "restart churn stays deterministic");
-    }
-
-    #[test]
-    fn eager_leak_checks_agree_with_epoch_batched_on_detection() {
-        // The fleet-path mirror of the single-process epoch differential:
-        // batching leak-check deadlines must not change what is detected.
-        let specs = trio_specs(6);
-        let batched = Fleet::boot(
-            &specs,
-            FleetConfig {
-                requests: 48,
-                epoch_batch: true,
-                ..FleetConfig::default()
-            },
-        )
-        .run();
-        let eager = Fleet::boot(
-            &specs,
-            FleetConfig {
-                requests: 48,
-                epoch_batch: false,
-                ..FleetConfig::default()
-            },
-        )
-        .run();
-        assert_eq!(batched.detected, eager.detected);
-        assert_eq!(batched.tallies, eager.tallies);
     }
 
     #[test]

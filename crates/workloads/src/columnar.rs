@@ -15,11 +15,11 @@
 //! column is dense and homogeneous, the kind byte drives one well-predicted
 //! jump table, and nothing in the loop allocates.
 //!
-//! Replay behaviour is bit-for-bit identical to [`Replayer`]
-//! (`crate::Replayer`), which stays as the differential reference together
-//! with `Trace::replay_naive`; `tests/` replays golden campaign seeds and
-//! proptest-generated synthetic traces through both engines and asserts
-//! equal [`RunResult`]s.
+//! This is the only production replay engine: [`Trace::replay`] flattens
+//! and runs it too. Its behaviour is bit-for-bit identical to the
+//! [`Trace::replay_naive`] oracle; `tests/` replays golden campaign seeds
+//! and proptest-generated synthetic traces through both and asserts equal
+//! [`RunResult`]s.
 
 use crate::driver::RunResult;
 use crate::trace::{Trace, TraceOp};
@@ -49,8 +49,10 @@ pub enum OpKind {
     Marker = 6,
 }
 
-/// Flag bit marking a retired (freed) slot, mirroring the [`Replayer`]
-/// slot-map encoding: heap virtual addresses never reach bit 63.
+/// Flag bit marking a retired (freed) slot in the replayer's slot map. The
+/// freed address is kept under the flag so freed-access ops can still
+/// resolve it; heap virtual addresses never reach bit 63, so the flag
+/// cannot collide with a live address.
 const RETIRED: u64 = 1 << 63;
 
 /// A recorded op stream flattened to struct-of-arrays columns.
@@ -185,6 +187,12 @@ impl ColumnarTrace {
         self.frame_lens.len() as u64
     }
 
+    /// The ground-truth incident markers, in emission order.
+    #[must_use]
+    pub fn markers(&self) -> &[IncidentClass] {
+        &self.markers
+    }
+
     /// Replays against a tool with fresh buffers. Campaign loops should
     /// hold a [`ColumnarReplayer`] and reuse it instead.
     pub fn replay(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
@@ -192,11 +200,13 @@ impl ColumnarTrace {
     }
 }
 
-/// Reusable buffers for the columnar replay scan — the struct-of-arrays
-/// counterpart of [`Replayer`](crate::Replayer), with identical semantics:
-/// dense slot map with a retired-flag bit, one grow-only scratch payload,
-/// freed accesses skipped unless the op carries the freed flag, and a debug
-/// assertion on ids no `Malloc` ever bound.
+/// Reusable buffers for the columnar replay scan: a dense slot map from
+/// buffer id to replay address (with the `RETIRED` flag bit marking freed
+/// slots) and one grow-only scratch payload. Buffers are cleared, not
+/// dropped, between traces, so a worker replaying a whole campaign shard
+/// touches the allocator only when a trace's largest access grows the
+/// scratch. Freed accesses are skipped unless the op carries the freed
+/// flag, and an id no `Malloc` ever bound trips a debug assertion.
 #[derive(Debug, Default)]
 pub struct ColumnarReplayer {
     addrs: Vec<u64>,
@@ -217,10 +227,10 @@ impl ColumnarReplayer {
         &mut self.scratch[..len]
     }
 
-    /// Replays a columnar trace. Equivalent to
-    /// [`Replayer::replay`](crate::Replayer::replay) on the source trace;
-    /// the differential suites assert equal [`RunResult`]s over golden
-    /// campaign seeds and proptest-generated op streams.
+    /// Replays a columnar trace. Equivalent to [`Trace::replay_naive`] on
+    /// the source trace; the differential suites assert equal
+    /// [`RunResult`]s over golden campaign seeds and proptest-generated op
+    /// streams.
     pub fn replay(
         &mut self,
         trace: &ColumnarTrace,
@@ -360,22 +370,26 @@ mod tests {
     }
 
     #[test]
-    fn columnar_replay_matches_enum_replay_on_freed_ops() {
+    fn columnar_replay_matches_naive_replay_on_freed_ops() {
         let t = uaf_trace();
         let col = ColumnarTrace::from_trace(&t);
         assert_eq!(col.len(), t.len());
         assert_eq!(col.malloc_count(), t.malloc_count());
-        let enum_run = {
+        assert_eq!(
+            col.markers(),
+            [IncidentClass::UseAfterFree, IncidentClass::DoubleFree]
+        );
+        let naive_run = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            t.replay(&mut os, &mut tool)
+            t.replay_naive(&mut os, &mut tool)
         };
         let col_run = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
             col.replay(&mut os, &mut tool)
         };
-        assert_eq!(enum_run, col_run);
+        assert_eq!(naive_run, col_run);
         assert!(col_run.corruption_detected());
     }
 
@@ -438,16 +452,16 @@ mod tests {
             mem_accesses: (7u64 << 32) | 123,
         });
         let col = ColumnarTrace::from_trace(&t);
-        let run_enum = {
+        let run_naive = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = NullTool::new();
-            t.replay(&mut os, &mut tool)
+            t.replay_naive(&mut os, &mut tool)
         };
         let run_col = {
             let mut os = Os::with_defaults(1 << 22);
             let mut tool = NullTool::new();
             col.replay(&mut os, &mut tool)
         };
-        assert_eq!(run_enum, run_col);
+        assert_eq!(run_naive, run_col);
     }
 }

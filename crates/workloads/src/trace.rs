@@ -8,14 +8,19 @@
 //! against frozen inputs, and for comparing tools on bit-identical op
 //! sequences without rerunning the workload logic.
 //!
-//! A [`Recorder`] wraps any [`MemTool`] and captures the op stream; replay
-//! re-issues it through another tool, translating recorded buffer ids to
-//! the replay tool's addresses (placements differ across layout policies).
+//! A [`Recorder`] wraps any [`MemTool`] and captures the op stream. The
+//! enum [`Trace`] is the recording and serialisation format; replay runs on
+//! its [`ColumnarTrace`] flattening ([`Trace::replay`]), translating
+//! recorded buffer ids to the replay tool's addresses (placements differ
+//! across layout policies). [`Trace::replay_naive`] is the one reference
+//! interpretation the columnar engine is tested against.
 
+use crate::columnar::ColumnarTrace;
 use crate::driver::RunResult;
 use safemem_core::{CallStack, IncidentClass, MemTool};
 use safemem_os::Os;
 use std::collections::HashMap;
+use std::str::{FromStr, SplitWhitespace};
 
 /// One recorded operation. Buffers are identified by a dense id assigned at
 /// `Malloc` time, because absolute addresses differ across layout policies.
@@ -222,11 +227,17 @@ impl Trace {
 
     /// Parses the text format produced by [`Trace::to_text`].
     ///
+    /// Every id must fit `u32` and name a buffer an earlier `M` line bound,
+    /// which is what the replay engines rely on; a trace that breaks either
+    /// rule is rejected, never replayed.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed line.
+    /// Returns a description of the first malformed line, naming its number.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut trace = Trace::new();
+        // Ids bound by the `M` lines seen so far: valid ids are `0..bound`.
+        let mut bound: u64 = 0;
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -235,135 +246,95 @@ impl Trace {
             let mut parts = line.split_whitespace();
             let tag = parts.next().expect("non-empty line");
             let err = |what: &str| format!("line {}: {what}: {line:?}", lineno + 1);
-            let mut num = |what: &'static str| -> Result<u64, String> {
-                let tok = parts.next().ok_or_else(|| err(what))?;
-                match tok.strip_prefix("0x") {
-                    Some(hex) => u64::from_str_radix(hex, 16).map_err(|_| err(what)),
-                    None => tok.parse::<u64>().map_err(|_| err(what)),
+            let mut id = || -> Result<u32, String> {
+                let raw = number(&mut parts).ok_or_else(|| err("id"))?;
+                let id = u32::try_from(raw).map_err(|_| err("id does not fit u32"))?;
+                if raw >= bound {
+                    return Err(err(&format!("id {id} is not bound by an earlier M line")));
                 }
+                Ok(id)
             };
-            match tag {
+            let op = match tag {
                 "M" => {
-                    let size = num("size")?;
-                    let mut frames = Vec::new();
-                    for tok in parts.by_ref() {
-                        let hex = tok.strip_prefix("0x").unwrap_or(tok);
-                        frames.push(u64::from_str_radix(hex, 16).map_err(|_| err("frame"))?);
+                    let size = number(&mut parts).ok_or_else(|| err("size"))?;
+                    let frames = parts
+                        .map(|tok| u64::from_str_radix(tok.strip_prefix("0x").unwrap_or(tok), 16))
+                        .collect::<Result<Vec<u64>, _>>()
+                        .map_err(|_| err("frame"))?;
+                    bound += 1;
+                    TraceOp::Malloc { size, frames }
+                }
+                "F" => TraceOp::Free { id: id()? },
+                "FF" => TraceOp::FreeAgain { id: id()? },
+                "R" | "RF" => {
+                    let id = id()?;
+                    let offset = token(&mut parts).ok_or_else(|| err("offset"))?;
+                    let len = token(&mut parts).ok_or_else(|| err("len"))?;
+                    if tag == "R" {
+                        TraceOp::Read { id, offset, len }
+                    } else {
+                        TraceOp::ReadFreed { id, offset, len }
                     }
-                    trace.push(TraceOp::Malloc { size, frames });
                 }
-                "F" => trace.push(TraceOp::Free {
-                    id: num("id")? as u32,
-                }),
-                "R" => {
-                    let id = num("id")? as u32;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    trace.push(TraceOp::Read { id, offset, len });
+                "W" | "WF" => {
+                    let id = id()?;
+                    let offset = token(&mut parts).ok_or_else(|| err("offset"))?;
+                    let len = token(&mut parts).ok_or_else(|| err("len"))?;
+                    let fill = token(&mut parts).ok_or_else(|| err("fill"))?;
+                    if tag == "W" {
+                        TraceOp::Write {
+                            id,
+                            offset,
+                            len,
+                            fill,
+                        }
+                    } else {
+                        TraceOp::WriteFreed {
+                            id,
+                            offset,
+                            len,
+                            fill,
+                        }
+                    }
                 }
-                "W" => {
-                    let id = num("id")? as u32;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    let fill = parts
-                        .next()
-                        .and_then(|t| t.parse::<u8>().ok())
-                        .ok_or_else(|| err("fill"))?;
-                    trace.push(TraceOp::Write {
-                        id,
-                        offset,
-                        len,
-                        fill,
-                    });
-                }
-                "C" => {
-                    let cycles = num("cycles")?;
-                    let mem = num("mem_accesses")?;
-                    trace.push(TraceOp::Compute {
-                        cycles,
-                        mem_accesses: mem,
-                    });
-                }
-                "I" => trace.push(TraceOp::Io { ns: num("ns")? }),
-                "RF" => {
-                    let id = num("id")? as u32;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    trace.push(TraceOp::ReadFreed { id, offset, len });
-                }
-                "WF" => {
-                    let id = num("id")? as u32;
-                    let offset = parts
-                        .next()
-                        .and_then(|t| t.parse::<i64>().ok())
-                        .ok_or_else(|| err("offset"))?;
-                    let len = parts
-                        .next()
-                        .and_then(|t| t.parse::<u32>().ok())
-                        .ok_or_else(|| err("len"))?;
-                    let fill = parts
-                        .next()
-                        .and_then(|t| t.parse::<u8>().ok())
-                        .ok_or_else(|| err("fill"))?;
-                    trace.push(TraceOp::WriteFreed {
-                        id,
-                        offset,
-                        len,
-                        fill,
-                    });
-                }
-                "FF" => trace.push(TraceOp::FreeAgain {
-                    id: num("id")? as u32,
-                }),
-                "K" => {
-                    let kind = match parts.next().ok_or_else(|| err("kind"))? {
+                "C" => TraceOp::Compute {
+                    cycles: number(&mut parts).ok_or_else(|| err("cycles"))?,
+                    mem_accesses: number(&mut parts).ok_or_else(|| err("mem_accesses"))?,
+                },
+                "I" => TraceOp::Io {
+                    ns: number(&mut parts).ok_or_else(|| err("ns"))?,
+                },
+                "K" => TraceOp::Marker {
+                    kind: match parts.next().ok_or_else(|| err("kind"))? {
                         "O" => IncidentClass::Overflow,
                         "U" => IncidentClass::UseAfterFree,
                         "D" => IncidentClass::DoubleFree,
                         _ => return Err(err("unknown marker kind")),
-                    };
-                    trace.push(TraceOp::Marker { kind });
-                }
+                    },
+                },
                 _ => return Err(err("unknown op tag")),
-            }
+            };
+            trace.push(op);
         }
         Ok(trace)
     }
 
-    /// Replays the trace against a tool. Accesses whose buffer was freed
-    /// are skipped (a trace replayed under a different layout has no
-    /// meaningful address for them); accesses naming an id no `Malloc` ever
-    /// bound trip a debug assertion — see [`Replayer::replay`].
+    /// Replays the trace against a tool by flattening it to a
+    /// [`ColumnarTrace`] and running the columnar engine. Accesses whose
+    /// buffer was freed are skipped (a trace replayed under a different
+    /// layout has no meaningful address for them); accesses naming an id no
+    /// `Malloc` ever bound trip a debug assertion.
     ///
-    /// Equivalent to `Replayer::new().replay(self, os, tool)`; campaign
-    /// loops that replay many traces should hold one [`Replayer`] and reuse
-    /// its buffers instead.
+    /// Campaign loops that replay one trace many times should flatten it
+    /// once and hold a [`ColumnarReplayer`](crate::ColumnarReplayer) instead.
     pub fn replay(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        Replayer::new().replay(self, os, tool)
+        ColumnarTrace::from_trace(self).replay(os, tool)
     }
 
-    /// The original per-op-allocating replay, retained as a differential
-    /// reference for the [`Replayer`] fast path (equivalence tests and the
-    /// `replay` benchmark compare the two). New code should call
-    /// [`Trace::replay`].
+    /// The replay oracle: a self-contained per-op interpretation with a
+    /// fresh `HashMap` id table and a heap payload per access. Tests and
+    /// the `replay` benchmark compare the columnar engine against it; new
+    /// code should call [`Trace::replay`].
     pub fn replay_naive(&self, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
         let mut addrs: HashMap<u32, u64> = HashMap::new();
         let mut freed: HashMap<u32, u64> = HashMap::new();
@@ -440,182 +411,19 @@ impl Trace {
     }
 }
 
-/// Flag bit marking a retired (freed) slot in the [`Replayer`] slot map.
-/// The freed address is kept under the flag so freed-access ops
-/// (`ReadFreed`/`WriteFreed`/`FreeAgain`) can still resolve it; plain
-/// accesses skip flagged slots. Heap virtual addresses never reach bit 63,
-/// so the flag cannot collide with a live address.
-const RETIRED: u64 = 1 << 63;
-
-/// Allocation-free trace replay engine.
-///
-/// Replaying is the campaign hot loop: every cell replays one trace five
-/// times (once per panel tool), and the original [`Trace::replay_naive`]
-/// heap-allocated a scratch `Vec` for every `Read`/`Write` op and
-/// translated ids through a `HashMap`. Ids are assigned densely at `Malloc`
-/// time, so a `Vec<u64>` slot map (with the [`RETIRED`] flag bit marking
-/// dead slots)
-/// replaces the hash table, and one grow-only scratch buffer serves every
-/// payload. The struct is reusable across traces: buffers are cleared, not
-/// dropped, so a worker thread replaying an entire campaign shard touches
-/// the allocator only when a trace's largest access grows the scratch.
-#[derive(Debug, Default)]
-pub struct Replayer {
-    /// Slot map from dense buffer id to replay-tool address.
-    addrs: Vec<u64>,
-    /// Scratch payload reused for every `Read`/`Write`.
-    scratch: Vec<u8>,
+/// Parses the next token of a trace line as a `u64`, decimal or
+/// `0x`-prefixed hex.
+fn number(parts: &mut SplitWhitespace<'_>) -> Option<u64> {
+    let tok = parts.next()?;
+    match tok.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => tok.parse().ok(),
+    }
 }
 
-impl Replayer {
-    /// Creates a replayer with empty buffers.
-    #[must_use]
-    pub fn new() -> Self {
-        Replayer::default()
-    }
-
-    /// Ensures the scratch buffer can hold `len` bytes and returns it.
-    /// Contents are whatever the previous op left behind — `Read` payloads
-    /// are pure out-params and `Write` fills the prefix it sends.
-    fn scratch_mut(&mut self, len: usize) -> &mut [u8] {
-        if self.scratch.len() < len {
-            self.scratch.resize(len, 0);
-        }
-        &mut self.scratch[..len]
-    }
-
-    /// Replays `trace` against a tool, reusing this replayer's buffers.
-    ///
-    /// Behaviour is identical to the retained [`Trace::replay_naive`]
-    /// reference, with one tightening: an access naming an id that no
-    /// `Malloc` ever bound indicates a recorder (or synthetic-trace) bug,
-    /// and trips a debug assertion instead of silently shrinking the replay
-    /// to an empty run. Accesses to *freed* ids are still skipped, matching
-    /// the reference.
-    pub fn replay(&mut self, trace: &Trace, os: &mut Os, tool: &mut dyn MemTool) -> RunResult {
-        self.addrs.clear();
-        for op in &trace.ops {
-            match op {
-                TraceOp::Malloc { size, frames } => {
-                    let stack = CallStack::new(frames);
-                    self.addrs.push(tool.malloc(os, *size, &stack));
-                }
-                TraceOp::Free { id } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace frees id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    if let Some(slot) = self.addrs.get_mut(*id as usize) {
-                        let addr = *slot;
-                        if addr & RETIRED == 0 {
-                            *slot = addr | RETIRED;
-                            tool.free(os, addr);
-                        }
-                    }
-                }
-                TraceOp::Read { id, offset, len } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace reads id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(addr) if addr & RETIRED == 0 => {
-                            let addr = addr.wrapping_add_signed(*offset);
-                            let buf = self.scratch_mut(*len as usize);
-                            tool.read(os, addr, buf);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::Write {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace writes id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(addr) if addr & RETIRED == 0 => {
-                            let addr = addr.wrapping_add_signed(*offset);
-                            let data = self.scratch_mut(*len as usize);
-                            data.fill(*fill);
-                            tool.write(os, addr, data);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::Compute {
-                    cycles,
-                    mem_accesses,
-                } => {
-                    tool.compute(os, *cycles, *mem_accesses);
-                }
-                TraceOp::Io { ns } => os.io_wait_ns(*ns),
-                TraceOp::ReadFreed { id, offset, len } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace reads freed id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            let addr = (slot & !RETIRED).wrapping_add_signed(*offset);
-                            let buf = self.scratch_mut(*len as usize);
-                            tool.read(os, addr, buf);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::WriteFreed {
-                    id,
-                    offset,
-                    len,
-                    fill,
-                } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace writes freed id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            let addr = (slot & !RETIRED).wrapping_add_signed(*offset);
-                            let data = self.scratch_mut(*len as usize);
-                            data.fill(*fill);
-                            tool.write(os, addr, data);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::FreeAgain { id } => {
-                    debug_assert!(
-                        (*id as usize) < self.addrs.len(),
-                        "trace re-frees id {id} but only {} ids were bound",
-                        self.addrs.len()
-                    );
-                    match self.addrs.get(*id as usize).copied() {
-                        Some(slot) if slot & RETIRED != 0 => {
-                            tool.free(os, slot & !RETIRED);
-                        }
-                        _ => {}
-                    }
-                }
-                TraceOp::Marker { kind } => tool.mark_incident(*kind),
-            }
-        }
-        tool.finish(os);
-        RunResult {
-            cpu_cycles: os.cpu_cycles(),
-            reports: tool.reports(),
-            heap_stats: tool.heap().stats(),
-        }
-    }
+/// Parses the next token of a trace line as a decimal `T`.
+fn token<T: FromStr>(parts: &mut SplitWhitespace<'_>) -> Option<T> {
+    parts.next()?.parse().ok()
 }
 
 /// A [`MemTool`] wrapper that records every operation into a [`Trace`]
@@ -872,6 +680,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_an_id_that_does_not_fit_u32() {
+        // `as u32` would wrap this to `Free { id: 0 }`, a buffer that is bound.
+        let err = Trace::from_text("M 8\nF 4294967296").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+        assert!(err.contains("F 4294967296"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_an_id_no_earlier_malloc_bound() {
+        let err = Trace::from_text("R 7 0 8").unwrap_err();
+        assert!(err.starts_with("line 1: "), "{err}");
+        assert!(err.contains("R 7 0 8"), "{err}");
+        // A later `M` does not bind retroactively.
+        let err = Trace::from_text("M 8\nWF 1 0 8 0\nM 8").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
+    }
+
+    #[test]
     fn freed_ops_and_markers_roundtrip() {
         let mut t = Trace::new();
         t.push(TraceOp::Malloc {
@@ -962,46 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn replayer_matches_naive_on_freed_op_traces() {
-        let mut t = Trace::new();
-        t.push(TraceOp::Malloc {
-            size: 100,
-            frames: vec![0x1],
-        });
-        t.push(TraceOp::Write {
-            id: 0,
-            offset: 0,
-            len: 100,
-            fill: 7,
-        });
-        t.push(TraceOp::Free { id: 0 });
-        t.push(TraceOp::ReadFreed {
-            id: 0,
-            offset: 16,
-            len: 8,
-        });
-        t.push(TraceOp::Marker {
-            kind: IncidentClass::UseAfterFree,
-        });
-        t.push(TraceOp::FreeAgain { id: 0 });
-        t.push(TraceOp::Marker {
-            kind: IncidentClass::DoubleFree,
-        });
-        let naive = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            t.replay_naive(&mut os, &mut tool)
-        };
-        let fast = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().leak_detection(false).build(&mut os);
-            Replayer::new().replay(&t, &mut os, &mut tool)
-        };
-        assert_eq!(naive, fast);
-        assert!(naive.corruption_detected(), "{:?}", naive.reports);
-    }
-
-    #[test]
     fn recorded_overflow_replays_against_safemem() {
         // Record a buggy run under the baseline (which sees nothing)...
         let mut os = Os::with_defaults(1 << 22);
@@ -1045,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn replayer_matches_naive_reference_on_a_recorded_workload() {
+    fn replay_matches_naive_reference_on_a_recorded_workload() {
         let gzip = crate::registry::workload_by_name("gzip").unwrap();
         let mut os = Os::with_defaults(1 << 25);
         let mut base = NullTool::new();
@@ -1066,68 +852,9 @@ mod tests {
         let fast = {
             let mut os = Os::with_defaults(1 << 25);
             let mut tool = SafeMem::builder().build(&mut os);
-            Replayer::new().replay(&trace, &mut os, &mut tool)
+            trace.replay(&mut os, &mut tool)
         };
         assert_eq!(naive, fast);
-    }
-
-    #[test]
-    fn replayer_reuse_across_traces_is_clean() {
-        // A replayer carried across traces must not leak slot-map state from
-        // the previous trace into the next (ids restart at 0 per trace).
-        let mut a = Trace::new();
-        a.push(TraceOp::Malloc {
-            size: 64,
-            frames: vec![0x1],
-        });
-        a.push(TraceOp::Free { id: 0 });
-        let mut b = Trace::new();
-        b.push(TraceOp::Malloc {
-            size: 32,
-            frames: vec![0x2],
-        });
-        b.push(TraceOp::Write {
-            id: 0,
-            offset: 0,
-            len: 32,
-            fill: 5,
-        });
-        b.push(TraceOp::Free { id: 0 });
-
-        let mut replayer = Replayer::new();
-        let fresh = {
-            let mut os = Os::with_defaults(1 << 22);
-            let mut tool = SafeMem::builder().build(&mut os);
-            b.replay(&mut os, &mut tool)
-        };
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = SafeMem::builder().build(&mut os);
-        replayer.replay(&a, &mut os, &mut tool);
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = SafeMem::builder().build(&mut os);
-        let reused = replayer.replay(&b, &mut os, &mut tool);
-        assert_eq!(fresh, reused);
-    }
-
-    #[test]
-    fn use_after_free_in_a_trace_is_skipped_not_asserted() {
-        // Freed ids are a legitimate layout artefact; only never-bound ids
-        // are recorder bugs.
-        let mut t = Trace::new();
-        t.push(TraceOp::Malloc {
-            size: 16,
-            frames: vec![0x1],
-        });
-        t.push(TraceOp::Free { id: 0 });
-        t.push(TraceOp::Read {
-            id: 0,
-            offset: 0,
-            len: 8,
-        });
-        let mut os = Os::with_defaults(1 << 22);
-        let mut tool = NullTool::new();
-        let result = t.replay(&mut os, &mut tool);
-        assert!(result.reports.is_empty());
     }
 
     #[test]
