@@ -10,12 +10,15 @@
 //!   (§7.1 cites Valgrind as the other common dynamic tool): quarantined
 //!   frees, redzones, interpretation-level slowdown.
 //!
-//! Both implement [`MemTool`](safemem_core::MemTool), so the workloads of
-//! `safemem-workloads` run unchanged under every tool.
+//! All three implement [`MemTool`](safemem_core::MemTool), so the workloads
+//! of `safemem-workloads` run unchanged under every tool. Purify and
+//! Memcheck share one conservative mark (the private `mark` module) for
+//! their leak scans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod mark;
 pub mod memcheck;
 pub mod pageguard;
 pub mod purify;

@@ -14,10 +14,12 @@
 //!
 //! Like Purify it reports leaks with a mark-and-sweep pass at exit.
 
+use crate::mark::conservative_mark;
 use safemem_alloc::{Heap, LayoutPolicy};
 use safemem_core::{BugReport, CallStack, GroupKey, LeakKind, MemTool, OverflowSide};
 use safemem_os::{AccessKind, Os};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 
 /// Cost calibration for the Memcheck model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,9 +58,8 @@ pub struct Memcheck {
     groups: HashMap<u64, GroupKey>,
     /// Quarantined freed blocks, FIFO: (payload addr, size).
     quarantine: VecDeque<(u64, u64)>,
-    /// Deferred frees: blocks released from quarantine but not yet freed in
-    /// the heap (the heap frees them when they rotate out).
-    roots: Vec<u64>,
+    /// Root ranges for the exit leak scan.
+    roots: Vec<Range<u64>>,
     reports: Vec<BugReport>,
     reported_groups: HashSet<GroupKey>,
 }
@@ -86,16 +87,12 @@ impl Memcheck {
 
     /// Registers a root word for the exit leak scan.
     pub fn add_root(&mut self, addr: u64) {
-        self.roots.push(addr);
+        self.add_root_range(addr, 8);
     }
 
-    /// Registers every word in a range as roots.
+    /// Registers every word in `[addr, addr + len)` as a root.
     pub fn add_root_range(&mut self, addr: u64, len: u64) {
-        let mut a = addr;
-        while a + 8 <= addr + len {
-            self.roots.push(a);
-            a += 8;
-        }
+        self.roots.push(addr..addr.saturating_add(len));
     }
 
     fn charge_access(&self, os: &mut Os, bytes: usize) {
@@ -152,42 +149,12 @@ impl Memcheck {
 
     /// Exit-time mark-and-sweep leak scan.
     pub fn leak_scan(&mut self, os: &mut Os) {
-        let mut marked: HashSet<u64> = HashSet::new();
-        let mut frontier: Vec<u64> = Vec::new();
-        let mut words = 0u64;
-        for &root in &self.roots {
-            words += 1;
-            if let Ok(value) = os.read_u64(root) {
-                if let Some(a) = self.heap.allocation_containing(value) {
-                    if marked.insert(a.addr) {
-                        frontier.push(a.addr);
-                    }
-                }
-            }
-        }
-        while let Some(addr) = frontier.pop() {
-            let payload = match self.heap.allocation_at(addr) {
-                Some(a) => a.payload,
-                None => continue,
-            };
-            let mut off = 0;
-            while off + 8 <= payload {
-                words += 1;
-                if let Ok(value) = os.read_u64(addr + off) {
-                    if let Some(t) = self.heap.allocation_containing(value) {
-                        if marked.insert(t.addr) {
-                            frontier.push(t.addr);
-                        }
-                    }
-                }
-                off += 8;
-            }
-        }
+        let mark = conservative_mark(os, &self.heap, &self.roots);
         let quarantined: HashSet<u64> = self.quarantine.iter().map(|&(a, _)| a).collect();
         let leaked: Vec<(u64, u64, GroupKey)> = self
             .heap
             .live_allocations()
-            .filter(|a| !marked.contains(&a.addr) && !quarantined.contains(&a.addr))
+            .filter(|a| !mark.marked.contains(&a.addr) && !quarantined.contains(&a.addr))
             .map(|a| {
                 let group = self.groups.get(&a.addr).copied().unwrap_or(GroupKey {
                     size: a.payload,
@@ -208,7 +175,7 @@ impl Memcheck {
                 });
             }
         }
-        os.compute(words * self.config.scan_cycles_per_word);
+        os.compute(mark.words * self.config.scan_cycles_per_word);
     }
 }
 

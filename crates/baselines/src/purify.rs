@@ -14,10 +14,12 @@
 //! * mark-and-sweep leak scans that pause the program for time proportional
 //!   to the bytes scanned.
 
+use crate::mark::conservative_mark;
 use safemem_alloc::{Heap, LayoutPolicy};
 use safemem_core::{BugReport, CallStack, GroupKey, LeakKind, MemTool};
 use safemem_os::{AccessKind, Os};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Cost calibration for the Purify model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,8 +58,8 @@ pub struct Purify {
     /// Freed-but-not-reused placements: payload addr → (size, base).
     freed: HashMap<u64, (u64, u64)>,
     freed_by_base: HashMap<u64, u64>,
-    /// Root addresses (in simulated memory) holding potential heap pointers.
-    roots: Vec<u64>,
+    /// Root ranges (in simulated memory) holding potential heap pointers.
+    roots: Vec<Range<u64>>,
     reports: Vec<BugReport>,
     reported_groups: HashSet<GroupKey>,
     last_scan: u64,
@@ -91,17 +93,13 @@ impl Purify {
     /// Registers a root location (a word in simulated memory that may hold
     /// a heap pointer) for conservative leak scanning.
     pub fn add_root(&mut self, addr: u64) {
-        self.roots.push(addr);
+        self.add_root_range(addr, 8);
     }
 
     /// Registers every word in `[addr, addr + len)` as a root — e.g. a
     /// program's whole static/global segment.
     pub fn add_root_range(&mut self, addr: u64, len: u64) {
-        let mut a = addr;
-        while a + 8 <= addr + len {
-            self.roots.push(a);
-            a += 8;
-        }
+        self.roots.push(addr..addr.saturating_add(len));
     }
 
     /// Number of mark-and-sweep scans performed.
@@ -202,45 +200,12 @@ impl Purify {
     pub fn leak_scan(&mut self, os: &mut Os) {
         self.scans += 1;
         self.last_scan = os.cpu_cycles();
-        let mut marked: HashSet<u64> = HashSet::new();
-        let mut frontier: Vec<u64> = Vec::new();
-        let mut words_scanned: u64 = 0;
-
-        // Mark phase: roots first.
-        for &root in &self.roots {
-            words_scanned += 1;
-            if let Ok(value) = os.read_u64(root) {
-                if let Some(a) = self.heap.allocation_containing(value) {
-                    if marked.insert(a.addr) {
-                        frontier.push(a.addr);
-                    }
-                }
-            }
-        }
-        // Conservative transitive scan of marked payloads.
-        while let Some(addr) = frontier.pop() {
-            let payload = match self.heap.allocation_at(addr) {
-                Some(a) => a.payload,
-                None => continue,
-            };
-            let mut offset = 0;
-            while offset + 8 <= payload {
-                words_scanned += 1;
-                if let Ok(value) = os.read_u64(addr + offset) {
-                    if let Some(target) = self.heap.allocation_containing(value) {
-                        if marked.insert(target.addr) {
-                            frontier.push(target.addr);
-                        }
-                    }
-                }
-                offset += 8;
-            }
-        }
+        let mark = conservative_mark(os, &self.heap, &self.roots);
         // Sweep: live but unreachable allocations are leaks.
         let leaked: Vec<(u64, u64, GroupKey)> = self
             .heap
             .live_allocations()
-            .filter(|a| !marked.contains(&a.addr))
+            .filter(|a| !mark.marked.contains(&a.addr))
             .map(|a| {
                 let group = self.shadow.get(&a.addr).map_or(
                     GroupKey {
@@ -252,7 +217,8 @@ impl Purify {
                 (a.addr, a.payload, group)
             })
             .collect();
-        words_scanned += self.heap.live_count() as u64;
+        // The sweep visits every live allocation once.
+        let words_scanned = mark.words + self.heap.live_count() as u64;
         let now = os.cpu_cycles();
         for (addr, size, group) in leaked {
             if self.reported_groups.insert(group) {

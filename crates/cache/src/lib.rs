@@ -261,18 +261,19 @@ impl CacheLevel {
         }
     }
 
-    /// Hit fast path: refreshes the line in place instead of extracting and
-    /// reinstalling it. Counter-equivalent to `lookup` + `extract` +
-    /// `install` on a hit (tick advances twice, LRU takes the final tick,
-    /// one hit recorded); only the line's position within its set Vec
-    /// differs, which nothing observable depends on — LRU values stay
-    /// unique, so eviction victims are position-independent. Returns `None`
-    /// without touching any counter on a miss.
-    fn touch(&mut self, line_addr: u64) -> Option<&mut Line> {
+    /// Hit fast path for `hits` back-to-back hits on one line: refreshes
+    /// the line in place instead of extracting and reinstalling it. Each
+    /// hit is counter-equivalent to `lookup` + `extract` + `install` (tick
+    /// advances twice, LRU takes the final tick, one hit recorded); only
+    /// the line's position within its set Vec differs, which nothing
+    /// observable depends on — LRU values stay unique, so eviction victims
+    /// are position-independent. Returns `None` without touching any
+    /// counter on a miss.
+    fn touch(&mut self, line_addr: u64, hits: u64) -> Option<&mut Line> {
         let set = self.set_index(line_addr);
         let pos = self.sets[set].iter().position(|l| l.tag == line_addr)?;
-        self.tick += 2;
-        self.stats.hits += 1;
+        self.tick += 2 * hits;
+        self.stats.hits += hits;
         let line = &mut self.sets[set][pos];
         line.lru = self.tick;
         Some(line)
@@ -560,7 +561,7 @@ impl Hierarchy {
             let hi = (line_addr + ls).min(end);
             // L1 hit fast path: the overwhelmingly common case needs no
             // level scan, no extract/reinstall, and no prefetch decision.
-            if let Some(line) = self.levels[0].touch(line_addr) {
+            if let Some(line) = self.levels[0].touch(line_addr, 1) {
                 traffic.level_hits[0] += 1;
                 buf[(lo - addr) as usize..(hi - addr) as usize].copy_from_slice(
                     &line.data[(lo - line_addr) as usize..(hi - line_addr) as usize],
@@ -578,6 +579,41 @@ impl Hierarchy {
             line_addr += ls;
         }
         Ok(())
+    }
+
+    /// Serves `reads` back-to-back reads that all hit the L1-resident line
+    /// containing `addr`, in one step, and copies `[addr, addr +
+    /// buf.len())` into `buf`.
+    ///
+    /// The effect equals `reads` calls of [`Hierarchy::read`] that each hit
+    /// that line in L1: L1's tick advances by `2 * reads`, the line's LRU
+    /// stamp takes the final tick, and `reads` hits are recorded in L1's
+    /// stats and in `traffic`. Returns `false`, changing nothing, if the
+    /// line is not resident in L1. Hits never reach memory, so no backing
+    /// is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[addr, addr + buf.len())` leaves the line.
+    pub fn read_l1_repeated(
+        &mut self,
+        addr: u64,
+        buf: &mut [u8],
+        reads: u64,
+        traffic: &mut Traffic,
+    ) -> bool {
+        let line_addr = self.line_addr(addr);
+        let lo = (addr - line_addr) as usize;
+        assert!(
+            lo + buf.len() <= self.line_size as usize,
+            "read_l1_repeated span leaves the line"
+        );
+        let Some(line) = self.levels[0].touch(line_addr, reads) else {
+            return false;
+        };
+        buf.copy_from_slice(&line.data[lo..lo + buf.len()]);
+        traffic.level_hits[0] += reads;
+        true
     }
 
     /// Next-line prefetch after a demand miss. A failed refill (ECC fault)
@@ -641,7 +677,7 @@ impl Hierarchy {
             let chunk = &data[(lo - addr) as usize..(hi - addr) as usize];
             // L1 hit fast path (policy-independent: a hit never consults the
             // write-miss policy and never prefetches).
-            if let Some(line) = self.levels[0].touch(line_addr) {
+            if let Some(line) = self.levels[0].touch(line_addr, 1) {
                 traffic.level_hits[0] += 1;
                 line.data[(lo - line_addr) as usize..(hi - line_addr) as usize]
                     .copy_from_slice(chunk);
@@ -1096,6 +1132,66 @@ mod tests {
         assert_eq!(h.residency(128), None, "watched line must not be cached");
         // The watchpoint still works: a demand access faults.
         assert_eq!(h.read(128, &mut b, &mut ram, &mut t), Err(128));
+    }
+
+    #[test]
+    fn read_l1_repeated_equals_separate_word_reads() {
+        // Two hierarchies with the same history; on one, a line then takes
+        // k separate 8-byte reads, on the other one bulk step of k reads.
+        // Everything after must agree: data, traffic, stats, and which line
+        // the set evicts next.
+        let setup = || {
+            let mut h = small();
+            let mut ram = Ram::new(1 << 16);
+            for (i, b) in ram.0.iter_mut().enumerate() {
+                *b = (i % 251) as u8;
+            }
+            let mut t = Traffic::new(2);
+            let mut b = [0u8; 8];
+            // Lines 0 and 128 share L1 set 0 (2 ways); 0 is the LRU one.
+            h.read(0, &mut b, &mut ram, &mut t).unwrap();
+            h.read(128, &mut b, &mut ram, &mut t).unwrap();
+            (h, ram)
+        };
+        let k = 5u64;
+        let (mut separate, mut ram_a) = setup();
+        let mut ta = Traffic::new(2);
+        let mut words = Vec::new();
+        for i in 0..k {
+            let mut b = [0u8; 8];
+            separate
+                .read(8 + 8 * i, &mut b, &mut ram_a, &mut ta)
+                .unwrap();
+            words.extend_from_slice(&b);
+        }
+        let (mut bulk, mut ram_b) = setup();
+        let mut tb = Traffic::new(2);
+        let mut bytes = vec![0u8; 8 * k as usize];
+        assert!(bulk.read_l1_repeated(8, &mut bytes, k, &mut tb));
+        assert_eq!(bytes, words);
+        assert_eq!(ta, tb);
+        assert_eq!(separate.level_stats(), bulk.level_stats());
+        // Line 0 is now the most recently used, so the next fill of set 0
+        // evicts line 128 from L1 on both.
+        let mut b = [0u8; 1];
+        separate.read(256, &mut b, &mut ram_a, &mut ta).unwrap();
+        bulk.read(256, &mut b, &mut ram_b, &mut tb).unwrap();
+        for line in [0, 128, 256] {
+            assert_eq!(
+                separate.residency(line),
+                bulk.residency(line),
+                "line {line}"
+            );
+        }
+        assert_eq!(bulk.residency(0), Some(0));
+        assert_eq!(bulk.residency(128), Some(1));
+        assert_eq!(separate.level_stats(), bulk.level_stats());
+        assert_eq!(ta, tb);
+        // A line not in L1 is refused without side effects.
+        let before = bulk.level_stats();
+        assert!(!bulk.read_l1_repeated(128, &mut [0u8; 8], 1, &mut tb));
+        assert_eq!(bulk.level_stats(), before);
+        assert_eq!(bulk.residency(128), Some(1));
     }
 
     #[test]

@@ -56,13 +56,19 @@ use crate::spec::{CampaignSpec, FLEET_REQUESTS, FLEET_WORKLOADS};
 /// enough that the whole two-phase campaign finishes in CI.
 pub const DEFAULT_FLEET_PROCESSES: u64 = 512;
 
+/// The largest fleet one campaign may boot: 128 times the default fleet.
+/// It keeps a mistyped count from asking for an allocation the host cannot
+/// make.
+pub const MAX_FLEET_PROCESSES: u64 = 65_536;
+
 /// Expands a fleet of `processes` campaign cells: process `pid` runs
 /// [`FLEET_WORKLOADS`]`[pid % 3]` with campaign seed `seed0 + pid`, so
 /// every process makes independent sampling decisions.
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError`] for an empty fleet.
+/// Returns [`CampaignError`] for an empty fleet or one above
+/// [`MAX_FLEET_PROCESSES`].
 pub fn expand_fleet(
     processes: u64,
     seed0: u64,
@@ -71,7 +77,12 @@ pub fn expand_fleet(
     if processes == 0 {
         return Err(CampaignError("a fleet needs at least one process".into()));
     }
-    let mut specs = Vec::with_capacity(usize::try_from(processes).unwrap_or(usize::MAX));
+    if processes > MAX_FLEET_PROCESSES {
+        return Err(CampaignError(format!(
+            "a fleet of {processes} processes exceeds the limit of {MAX_FLEET_PROCESSES}"
+        )));
+    }
+    let mut specs = Vec::with_capacity(usize::try_from(processes).expect("bounded fleet size"));
     for pid in 0..processes {
         let workload = FLEET_WORKLOADS[usize::try_from(pid % 3).expect("mod 3 fits")];
         let mut spec = CampaignSpec::fleet(workload, seed0.wrapping_add(pid));
@@ -669,6 +680,19 @@ mod tests {
             assert_eq!(spec.requests, Some(FLEET_REQUESTS));
         }
         assert!(expand_fleet(0, 0, None).is_err(), "empty fleet");
+    }
+
+    #[test]
+    fn expand_fleet_rejects_fleets_above_the_process_limit() {
+        let at_limit = expand_fleet(MAX_FLEET_PROCESSES, 0, None).expect("exactly at the limit");
+        assert_eq!(at_limit.len() as u64, MAX_FLEET_PROCESSES);
+        for processes in [MAX_FLEET_PROCESSES + 1, 99_999_999_999, u64::MAX] {
+            let err = expand_fleet(processes, 0, None).unwrap_err();
+            assert!(
+                err.0.contains(&MAX_FLEET_PROCESSES.to_string()),
+                "names the limit: {err:?}"
+            );
+        }
     }
 
     #[test]

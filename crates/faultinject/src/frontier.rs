@@ -23,7 +23,9 @@
 use std::fmt::Write as _;
 
 use crate::oracle::{CampaignError, CampaignResult};
-use crate::runner::{expand_matrix, render_bench_json, BenchRun};
+use crate::runner::{
+    campaign_cells, expand_matrix, render_bench_json, BenchRun, MAX_CAMPAIGN_CELLS,
+};
 use crate::spec::CampaignSpec;
 use safemem_core::PPM;
 use safemem_workloads::BugClass;
@@ -42,7 +44,8 @@ pub const FRONTIER_RATES_PPM: &[u32] = &[PPM, 500_000, 200_000, 100_000, 20_000,
 /// # Errors
 ///
 /// Returns [`CampaignError`] for an unknown preset or workload, an empty
-/// ladder, or a rate above [`PPM`].
+/// ladder, a rate above [`PPM`], or a ladder above [`MAX_CAMPAIGN_CELLS`]
+/// cells in all.
 pub fn expand_frontier(
     preset: &str,
     rates_ppm: &[u32],
@@ -57,6 +60,14 @@ pub fn expand_frontier(
     if let Some(&bad) = rates_ppm.iter().find(|&&r| r > PPM) {
         return Err(CampaignError(format!(
             "sampling rate {bad} ppm exceeds {PPM}"
+        )));
+    }
+    if campaign_cells(seeds, workloads.len(), rates_ppm.len()).is_none() {
+        return Err(CampaignError(format!(
+            "{seeds} seeds x {} workloads x {} sampling rates exceeds the limit of \
+             {MAX_CAMPAIGN_CELLS} campaign cells",
+            workloads.len(),
+            rates_ppm.len()
         )));
     }
     let base = expand_matrix(preset, workloads, seeds, seed0, requests)?;
@@ -373,6 +384,24 @@ mod tests {
         assert!(expand_frontier("frontier", &[], &workloads, 1, 0, None).is_err());
         assert!(expand_frontier("frontier", &[PPM + 1], &workloads, 1, 0, None).is_err());
         assert!(expand_frontier("nope", &[PPM], &workloads, 1, 0, None).is_err());
+    }
+
+    #[test]
+    fn expand_frontier_bounds_the_whole_ladder() {
+        let workloads = vec!["tar".to_string()];
+        let rates = [PPM, 500_000, 10_000, 0];
+        // Each rung alone fits; the ladder as a whole does not.
+        let seeds = MAX_CAMPAIGN_CELLS / 2;
+        assert!(expand_matrix("frontier", &workloads, seeds, 0, None).is_ok());
+        let err = expand_frontier("frontier", &rates, &workloads, seeds, 0, None).unwrap_err();
+        assert!(
+            err.0.contains("4 sampling rates") && err.0.contains(&MAX_CAMPAIGN_CELLS.to_string()),
+            "names the ladder and the limit: {err:?}"
+        );
+        assert!(expand_frontier("frontier", &rates, &workloads, u64::MAX, 0, None).is_err());
+        let fits = expand_frontier("frontier", &rates, &workloads, seeds / 4, 0, None)
+            .expect("ladder within the limit");
+        assert_eq!(fits.len() as u64, 4 * (seeds / 4));
     }
 
     #[test]

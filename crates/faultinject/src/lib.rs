@@ -54,7 +54,7 @@ pub use corpus::{
 pub use fleet::{
     expand_fleet, fleet_process_specs, render_fleet, render_fleet_bench_json, run_fleet,
     run_fleet_corpus, run_fleet_sharded, FleetAgg, FleetClassAgg, FleetOutcome, ShardRun,
-    DEFAULT_FLEET_PROCESSES,
+    DEFAULT_FLEET_PROCESSES, MAX_FLEET_PROCESSES,
 };
 pub use frontier::{
     expand_frontier, frontier_rows, render_frontier, render_frontier_bench_json, ClassTally,
@@ -68,8 +68,8 @@ pub use oracle::{
 };
 pub use rng::SmRng;
 pub use runner::{
-    default_threads, expand_matrix, render_bench_json, run_matrix, run_matrix_with, BenchRun,
-    MatrixReport, TraceKey, TraceMode, WorkerReport,
+    campaign_cells, default_threads, expand_matrix, render_bench_json, run_matrix, run_matrix_with,
+    BenchRun, MatrixReport, TraceKey, TraceMode, WorkerReport, MAX_CAMPAIGN_CELLS,
 };
 pub use scorecard::{render_aggregate, render_campaign, render_worker_table, render_workers};
 pub use spec::{CampaignSpec, FaultMix};

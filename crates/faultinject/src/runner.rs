@@ -67,6 +67,22 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// The most campaign cells one matrix may expand to: seeds × workloads,
+/// times the sampling rates of a frontier ladder. Far above any real sweep
+/// (the acceptance gate is 160 cells), it keeps a mistyped count from
+/// asking for an allocation the host cannot make.
+pub const MAX_CAMPAIGN_CELLS: u64 = 100_000;
+
+/// The cell count of a `seeds` × `workloads` × `rates` matrix, or `None` if
+/// it exceeds [`MAX_CAMPAIGN_CELLS`].
+#[must_use]
+pub fn campaign_cells(seeds: u64, workloads: usize, rates: usize) -> Option<u64> {
+    seeds
+        .checked_mul(workloads as u64)?
+        .checked_mul(rates as u64)
+        .filter(|&cells| cells <= MAX_CAMPAIGN_CELLS)
+}
+
 /// Expands a seeds × workloads matrix into campaign specs, in the canonical
 /// cell order: seed-major, workload-minor (`cell = row * workloads + col`).
 /// This is the single place the cell order is defined; the runner and every
@@ -76,7 +92,7 @@ pub fn default_threads() -> usize {
 ///
 /// Returns [`CampaignError`] for an unknown preset or workload name — the
 /// whole matrix is validated up front so a sweep never dies mid-flight on a
-/// typo.
+/// typo — or for a matrix above [`MAX_CAMPAIGN_CELLS`].
 pub fn expand_matrix(
     preset: &str,
     workloads: &[String],
@@ -95,7 +111,13 @@ pub fn expand_matrix(
             return Err(CampaignError(format!("unknown workload {name:?}")));
         }
     }
-    let mut specs = Vec::with_capacity(usize::try_from(seeds).unwrap_or(usize::MAX));
+    let cells = campaign_cells(seeds, workloads.len(), 1).ok_or_else(|| {
+        CampaignError(format!(
+            "{seeds} seeds x {} workloads exceeds the limit of {MAX_CAMPAIGN_CELLS} campaign cells",
+            workloads.len()
+        ))
+    })?;
+    let mut specs = Vec::with_capacity(usize::try_from(cells).expect("bounded cell count"));
     for i in 0..seeds {
         let seed = seed0.wrapping_add(i);
         for workload in workloads {
@@ -569,6 +591,38 @@ mod tests {
             expand_matrix("harsh", &bad, 1, 0, None).is_err(),
             "bad workload"
         );
+    }
+
+    #[test]
+    fn expand_matrix_rejects_matrices_above_the_cell_limit() {
+        let two = vec!["tar".to_string(), "gzip".to_string()];
+        let at_limit = expand_matrix("harsh", &two, MAX_CAMPAIGN_CELLS / 2, 0, None)
+            .expect("exactly at the limit");
+        assert_eq!(at_limit.len() as u64, MAX_CAMPAIGN_CELLS);
+        for seeds in [MAX_CAMPAIGN_CELLS / 2 + 1, 9_999_999_999_999, u64::MAX] {
+            let err = expand_matrix("harsh", &two, seeds, 0, None).unwrap_err();
+            assert!(
+                err.0.contains(&MAX_CAMPAIGN_CELLS.to_string()),
+                "names the limit: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn campaign_cells_multiplies_and_bounds() {
+        assert_eq!(campaign_cells(8, 5, 1), Some(40));
+        assert_eq!(campaign_cells(4, 9, 6), Some(216));
+        assert_eq!(
+            campaign_cells(MAX_CAMPAIGN_CELLS, 1, 1),
+            Some(MAX_CAMPAIGN_CELLS)
+        );
+        assert_eq!(campaign_cells(MAX_CAMPAIGN_CELLS, 1, 2), None);
+        assert_eq!(
+            campaign_cells(u64::MAX, 2, 1),
+            None,
+            "overflow is over the limit"
+        );
+        assert_eq!(campaign_cells(1 << 40, 1 << 30, 1 << 30), None);
     }
 
     #[test]

@@ -185,20 +185,37 @@ impl StreamAggregate {
         self.frontier.as_deref()
     }
 
-    /// The non-frontier acceptance verdict: every campaign with a
-    /// correctable-only mix upheld the harsh invariant, and every campaign
-    /// with ground-truth markers upheld the survival invariant.
+    /// The non-frontier acceptance verdicts that failed, named as the
+    /// verdict lines of [`render`](Self::render) name them: `harsh` unless
+    /// every campaign with a correctable-only mix upheld the harsh
+    /// invariant, `survival` unless every campaign with ground-truth
+    /// markers upheld the survival invariant. Empty when all hold.
     #[must_use]
-    pub fn invariants_hold(&self) -> bool {
-        self.harsh_ok == self.harsh_seen && self.survival_ok == self.survival_seen
+    pub fn failed_verdicts(&self) -> Vec<&'static str> {
+        let mut failed = Vec::new();
+        if self.harsh_ok != self.harsh_seen {
+            failed.push("harsh");
+        }
+        if self.survival_ok != self.survival_seen {
+            failed.push("survival");
+        }
+        failed
     }
 
-    /// The frontier acceptance verdict: SafeMem reported zero false
-    /// positives at every rate, and every always-on cell upheld the full
-    /// harsh invariant.
+    /// The frontier acceptance verdicts that failed: `frontier` unless
+    /// SafeMem reported zero false positives at every rate (the frontier
+    /// table's verdict line), `harsh (rate 1.0)` unless every always-on
+    /// cell upheld the full harsh invariant. Empty when both hold.
     #[must_use]
-    pub fn frontier_invariants_hold(&self) -> bool {
-        self.safemem_false_positives == 0 && self.full_rate_ok == self.full_rate_seen
+    pub fn failed_frontier_verdicts(&self) -> Vec<&'static str> {
+        let mut failed = Vec::new();
+        if self.safemem_false_positives != 0 {
+            failed.push("frontier");
+        }
+        if self.full_rate_ok != self.full_rate_seen {
+            failed.push("harsh (rate 1.0)");
+        }
+        failed
     }
 
     /// Heap + inline bytes this aggregate occupies. Constant in the number
@@ -412,7 +429,7 @@ mod tests {
             s
         };
         assert_eq!(streamed.aggregate.render(), reference);
-        assert!(streamed.aggregate.frontier_invariants_hold());
+        assert!(streamed.aggregate.failed_frontier_verdicts().is_empty());
     }
 
     #[test]

@@ -284,6 +284,12 @@ impl Heap {
     /// The live allocation whose payload contains `addr`, if any.
     #[must_use]
     pub fn allocation_containing(&self, addr: u64) -> Option<&Allocation> {
+        // Every live payload lies in [HEAP_BASE, bump), so this rejects
+        // most of the non-pointer words a conservative scan asks about
+        // without a tree search.
+        if !(HEAP_BASE..self.bump).contains(&addr) {
+            return None;
+        }
         self.live
             .range(..=addr)
             .next_back()
@@ -605,6 +611,29 @@ mod tests {
             "end is exclusive"
         );
         assert!(h.allocation_containing(a.addr.wrapping_sub(1)).is_none());
+    }
+
+    #[test]
+    fn containing_lookup_rejects_addresses_outside_the_bump_extent() {
+        let mut os = os();
+        let mut h = Heap::new(LayoutPolicy::Natural);
+        assert!(h.allocation_containing(HEAP_BASE).is_none(), "empty heap");
+        let a = h.alloc(&mut os, 20).unwrap();
+        let b = h.alloc(&mut os, 40).unwrap();
+        let bump = b.base + b.stride;
+        assert_eq!(a.addr, HEAP_BASE);
+        assert_eq!(h.allocation_containing(HEAP_BASE).unwrap().addr, a.addr);
+        assert!(h.allocation_containing(HEAP_BASE - 1).is_none());
+        assert_eq!(h.allocation_containing(b.addr + 39).unwrap().addr, b.addr);
+        for outside in [bump, bump + 1, 0, 7, u64::MAX] {
+            assert!(h.allocation_containing(outside).is_none(), "{outside:#x}");
+        }
+        // A freed-and-reused placement below the bump is still found.
+        h.free(&mut os, a.addr).unwrap();
+        assert!(h.allocation_containing(a.addr).is_none(), "freed");
+        let c = h.alloc(&mut os, 20).unwrap();
+        assert!(c.reused);
+        assert_eq!(h.allocation_containing(c.addr + 19).unwrap().addr, c.addr);
     }
 
     #[test]

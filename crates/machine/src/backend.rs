@@ -53,6 +53,10 @@ pub trait MachineBackend: std::fmt::Debug {
     /// Returns the [`EccFault`] raised by a refill of an inconsistent
     /// (e.g. watched/scrambled) ECC group.
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EccFault>;
+    /// Serves `reads` back-to-back L1 hits on the line containing `addr`
+    /// in one step; `false`, changing nothing, if the line is not in L1
+    /// (see [`Machine::read_l1_repeated`](crate::Machine::read_l1_repeated)).
+    fn read_l1_repeated(&mut self, addr: u64, buf: &mut [u8], reads: u64) -> bool;
     /// Writes physical memory through the cache hierarchy (write-allocate).
     ///
     /// # Errors
@@ -120,6 +124,9 @@ impl MachineBackend for crate::Machine {
     }
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EccFault> {
         crate::Machine::read(self, addr, buf)
+    }
+    fn read_l1_repeated(&mut self, addr: u64, buf: &mut [u8], reads: u64) -> bool {
+        crate::Machine::read_l1_repeated(self, addr, buf, reads)
     }
     fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), EccFault> {
         crate::Machine::write(self, addr, buf)
@@ -283,6 +290,9 @@ impl MachineBackend for SlotBackend {
     }
     fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EccFault> {
         self.with(|m| m.read(addr, buf))
+    }
+    fn read_l1_repeated(&mut self, addr: u64, buf: &mut [u8], reads: u64) -> bool {
+        self.with(|m| m.read_l1_repeated(addr, buf, reads))
     }
     fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), EccFault> {
         self.with(|m| m.write(addr, buf))

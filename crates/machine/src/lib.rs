@@ -227,6 +227,29 @@ impl Machine {
         result
     }
 
+    /// Serves `reads` back-to-back reads that all hit the L1-resident line
+    /// containing `addr`, copying `[addr, addr + buf.len())` into `buf`.
+    ///
+    /// The effect equals `reads` calls of [`Machine::read`] that each hit
+    /// that line in L1 (see [`Hierarchy::read_l1_repeated`]); the clock
+    /// advances by `reads` L1 hit latencies. Returns `false`, changing
+    /// nothing, if the line is not resident in L1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[addr, addr + buf.len())` leaves the line.
+    pub fn read_l1_repeated(&mut self, addr: u64, buf: &mut [u8], reads: u64) -> bool {
+        self.traffic.reset();
+        if !self
+            .hierarchy
+            .read_l1_repeated(addr, buf, reads, &mut self.traffic)
+        {
+            return false;
+        }
+        self.charge();
+        true
+    }
+
     /// Writes physical memory through the cache hierarchy (write-allocate),
     /// advancing the clock by the access cost.
     ///

@@ -562,6 +562,56 @@ impl Os {
         Ok(u64::from_le_bytes(buf))
     }
 
+    /// Reads `out.len()` consecutive little-endian `u64` words starting at
+    /// `vaddr`, storing `None` for each word whose read faulted.
+    ///
+    /// The effect is exactly that of one [`Os::read_u64`] per word in
+    /// address order: the same values, clocks, statistics, cache and VM
+    /// state, and kernel log. Only the host cost differs. The first word of
+    /// each cache line takes the ordinary path; the rest of the line is
+    /// then served in bulk as repeated L1 hits, since that is what the
+    /// per-word reads would each be. Those words are read one by one
+    /// instead whenever the bulk step could differ: `vaddr` is not
+    /// 8-aligned, the line's first word faulted, a scheduled scrub could
+    /// fall due within the run, or the line is no longer in L1.
+    pub fn read_words(&mut self, vaddr: u64, out: &mut [Option<u64>]) {
+        /// Words served per bulk step: one 64-byte line. Longer lines take
+        /// several steps, each after an ordinary (L1-hit) read.
+        const BULK_WORDS: usize = 8;
+        let line_bytes = self.line_size();
+        let hit_cycles = self.machine.cost().level_hit_cycles(0);
+        let mut i = 0;
+        while i < out.len() {
+            let addr = vaddr + 8 * i as u64;
+            out[i] = self.read_u64(addr).ok();
+            i += 1;
+            if out[i - 1].is_none() || !vaddr.is_multiple_of(8) {
+                continue;
+            }
+            let rest_of_line = ((line_bytes - addr % line_bytes) / 8 - 1) as usize;
+            let n = rest_of_line.min(out.len() - i).min(BULK_WORDS);
+            if n == 0 || self.scrub_due_within(n as u64 * hit_cycles) {
+                continue;
+            }
+            let next = addr + 8;
+            let Some(phys) = self.vm.translate_resident(next) else {
+                continue;
+            };
+            let mut bytes = [0u8; 8 * BULK_WORDS];
+            if !self
+                .machine
+                .read_l1_repeated(phys, &mut bytes[..8 * n], n as u64)
+            {
+                continue;
+            }
+            self.vm.record_hits(next, n as u64);
+            for (word, chunk) in out[i..i + n].iter_mut().zip(bytes.chunks_exact(8)) {
+                *word = Some(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+            }
+            i += n;
+        }
+    }
+
     /// Convenience: writes a little-endian `u64`.
     ///
     /// # Errors
@@ -788,13 +838,20 @@ impl Os {
 
     /// Runs a scheduled scrub cycle if the configured interval has elapsed.
     fn maybe_scrub(&mut self) {
-        let Some(interval) = self.scrub_interval else {
-            return;
-        };
-        let now = self.machine.clock().cycles();
-        if now.saturating_sub(self.last_scrub) >= interval {
+        if self.scrub_due_within(0) {
             self.run_scrub_cycle();
         }
+    }
+
+    /// Whether a scheduled scrub cycle falls due within the next `cycles`
+    /// cycles. Never true unless the controller mode scrubs, because
+    /// [`Os::run_scrub_cycle`] does nothing otherwise.
+    fn scrub_due_within(&self, cycles: u64) -> bool {
+        self.scrub_interval.is_some_and(|interval| {
+            let later = self.machine.clock().cycles().saturating_add(cycles);
+            later.saturating_sub(self.last_scrub) >= interval
+                && self.machine.controller().mode().scrubs()
+        })
     }
 
     /// Coordinates one full scrub pass: temporarily disarms every watched

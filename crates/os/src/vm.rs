@@ -341,6 +341,25 @@ impl VirtualMemory {
         Ok((frame + vaddr % PAGE_BYTES, outcome))
     }
 
+    /// Records `hits` translation hits on the resident page containing
+    /// `vaddr` in one step, with the effect of `hits` calls of
+    /// [`translate`](Self::translate) that each find the page resident: the
+    /// tick advances by `hits` and the page's LRU stamp takes the final
+    /// tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the page is not resident.
+    pub(crate) fn record_hits(&mut self, vaddr: u64, hits: u64) {
+        self.tick += hits;
+        let entry = self
+            .pages
+            .get_mut(&Self::vpn(vaddr))
+            .filter(|p| p.frame.is_some())
+            .expect("record_hits on a non-resident page");
+        entry.last_use = self.tick;
+    }
+
     /// Drains the list of virtual page numbers evicted since the last call.
     /// The swap-aware watch extension uses this to retire stale physical
     /// mappings of watched lines.

@@ -294,3 +294,84 @@ fn watchpoints_fire_identically_through_a_shared_window() {
     assert!(!user.signature_ok, "classified as hardware error");
     assert_eq!(user.access, AccessKind::Read);
 }
+
+/// An `Os` over a slot holding its own machine, built from `config` the
+/// way [`Os::new`] builds an owned one.
+fn slot_backed_with(config: OsConfig) -> Os {
+    let machine = Machine::new(
+        config.phys_bytes,
+        config.caches.clone(),
+        config.cost.clone(),
+    );
+    let mut slot = SlotBackend::vacant(machine.clock().hz());
+    slot.install(machine);
+    Os::with_backend(Box::new(slot), config)
+}
+
+/// Scans a heap region word by word — batched through `read_words` or as
+/// a `read_u64` loop — on a stack with scrubs landing mid-line, a watched
+/// region, prefetching and swap-aware paging, then runs a fixed follow-up
+/// script. Returns the values read and every observable, as text.
+fn word_scan_transcript(mut os: Os, batched: bool) -> String {
+    use std::fmt::Write as _;
+    os.register_ecc_fault_handler();
+    os.machine_mut()
+        .controller_mut()
+        .set_mode(safemem_ecc::EccMode::CorrectAndScrub);
+    os.machine_mut().set_prefetch(true);
+    let contents: Vec<u8> = (0..5 * PAGE_BYTES)
+        .map(|i| if i % 24 == 0 { (i / 24) as u8 } else { 0 })
+        .collect();
+    os.vwrite(HEAP_BASE, &contents).unwrap();
+    os.watch_memory(HEAP_BASE + 3 * 64, 2 * 64).unwrap();
+
+    let start = HEAP_BASE + 40;
+    let words = 2_000usize;
+    let values: Vec<Option<u64>> = if batched {
+        let mut out = vec![None; words];
+        os.read_words(start, &mut out);
+        out
+    } else {
+        (0..words as u64)
+            .map(|i| os.read_u64(start + 8 * i).ok())
+            .collect()
+    };
+    let mut out = String::new();
+    let faulted = values.iter().filter(|v| v.is_none()).count();
+    // FNV-1a over the words in order, a faulted word hashing as all ones.
+    let digest = values.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+        (h ^ v.unwrap_or(u64::MAX)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let _ = writeln!(out, "faulted={faulted} values={digest:#x}");
+    for round in 0..3u64 {
+        for line in (0..5 * PAGE_BYTES / 64).step_by(7) {
+            let _ = os.read_u64(HEAP_BASE + line * 64 + round * 8);
+        }
+    }
+    let _ = writeln!(out, "stats={:?}", os.stats());
+    let _ = writeln!(out, "vm={:?}", os.vm().stats());
+    let _ = writeln!(out, "levels={:?}", os.machine().hierarchy().level_stats());
+    let _ = writeln!(out, "ecc={:?}", os.machine().controller().stats());
+    let _ = writeln!(out, "cpu_cycles={}", os.cpu_cycles());
+    let _ = writeln!(out, "total_cycles={}", os.total_cycles());
+    let _ = writeln!(out, "klog_len={}", os.kernel_log().len());
+    out
+}
+
+#[test]
+fn read_words_through_a_slot_matches_a_read_u64_loop() {
+    // The bulk L1-hit step forwards through the slot with the same charges
+    // and the same per-process clock as everything else.
+    let config = || OsConfig {
+        phys_bytes: 4 * PAGE_BYTES,
+        swap_policy: safemem_os::SwapPolicy::SwapAware,
+        scrub_interval_cycles: Some(700),
+        ..OsConfig::default()
+    };
+    let slot_batched = word_scan_transcript(slot_backed_with(config()), true);
+    let slot_oracle = word_scan_transcript(slot_backed_with(config()), false);
+    let owned_oracle = word_scan_transcript(Os::new(config()), false);
+    assert!(slot_batched.contains("faulted=16 "), "{slot_batched}");
+    assert_eq!(slot_batched, slot_oracle);
+    assert_eq!(slot_batched, owned_oracle);
+}

@@ -175,3 +175,136 @@ proptest! {
         }
     }
 }
+
+/// How the two `Os` instances of a [`Os::read_words`] check are built.
+#[derive(Debug, Clone, Copy)]
+struct ScanStack {
+    scrub_interval: Option<u64>,
+    prefetch: bool,
+    swap_aware: bool,
+}
+
+/// Bytes of heap the scans range over: five pages, more than the
+/// swap-aware stack's physical memory holds.
+const SCAN_REGION: u64 = 5 * PAGE_BYTES;
+
+fn scan_os(
+    stack: ScanStack,
+    contents: &[u8],
+    watched: Option<(u64, u64)>,
+    guard_page: Option<u64>,
+) -> Os {
+    let mut os = Os::new(OsConfig {
+        phys_bytes: if stack.swap_aware {
+            4 * PAGE_BYTES
+        } else {
+            1 << 22
+        },
+        swap_policy: if stack.swap_aware {
+            SwapPolicy::SwapAware
+        } else {
+            SwapPolicy::PinWatchedPages
+        },
+        scrub_interval_cycles: stack.scrub_interval,
+        ..OsConfig::default()
+    });
+    os.register_ecc_fault_handler();
+    os.machine_mut()
+        .controller_mut()
+        .set_mode(safemem_ecc::EccMode::CorrectAndScrub);
+    os.machine_mut().set_prefetch(stack.prefetch);
+    os.vwrite(HEAP_BASE, contents).unwrap();
+    if let Some((line, lines)) = watched {
+        os.watch_memory(HEAP_BASE + line * 64, lines * 64).unwrap();
+    }
+    if let Some(page) = guard_page {
+        // Its lines may still be cached: every read of it must fault anyway.
+        os.mprotect(HEAP_BASE + page * PAGE_BYTES, PAGE_BYTES, Prot::NONE)
+            .unwrap();
+    }
+    os
+}
+
+/// Every observable of an `Os`, as text: equal observations mean equal
+/// simulated state as far as any caller can tell.
+fn observe(os: &mut Os) -> String {
+    format!(
+        "cpu={} total={}\nos={:?}\nvm={:?}\nlevels={:?}\necc={:?}\nfaults={}\nklog={}",
+        os.cpu_cycles(),
+        os.total_cycles(),
+        os.stats(),
+        os.vm().stats(),
+        os.machine().hierarchy().level_stats(),
+        os.machine().controller().stats(),
+        os.machine_mut().take_faults().len(),
+        os.kernel_log().render(),
+    )
+}
+
+/// A fixed access script run after the scan. It evicts cache lines and
+/// (on the swap-aware stack) pages, so a scan that left lines or pages in
+/// a different LRU order shows up here as different statistics or clocks.
+fn follow_up(os: &mut Os) {
+    for round in 0..3u64 {
+        for line in (0..SCAN_REGION / 64).step_by(5) {
+            let _ = os.read_u64(HEAP_BASE + line * 64 + round * 8);
+        }
+        let _ = os.vwrite(
+            HEAP_BASE + SCAN_REGION + round * PAGE_BYTES,
+            &[round as u8; 96],
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `read_words` is exactly a `read_u64` loop: same values and the same
+    /// clocks, statistics, cache, VM and kernel-log state, on stacks with
+    /// scrubs landing mid-line, a watched region whose words fault, a
+    /// protected page, prefetching, and swap-aware paging under memory
+    /// pressure.
+    #[test]
+    fn prop_read_words_matches_a_read_u64_loop(
+        seed in any::<u64>(),
+        start in 0u64..SCAN_REGION,
+        aligned in any::<bool>(),
+        words in 0usize..700,
+        scrub in prop_oneof![Just(None), (150u64..3_000).prop_map(Some)],
+        prefetch in any::<bool>(),
+        swap_aware in any::<bool>(),
+        watched in prop_oneof![
+            Just(None),
+            ((0u64..SCAN_REGION / 64 - 4), (1u64..4)).prop_map(Some),
+        ],
+        guard_page in prop_oneof![Just(None), (0u64..SCAN_REGION / PAGE_BYTES).prop_map(Some)],
+    ) {
+        let mut state = seed | 1;
+        let contents: Vec<u8> = (0..SCAN_REGION)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Mostly zero bytes; one in five random.
+                if state % 5 == 0 { (state >> 32) as u8 } else { 0 }
+            })
+            .collect();
+        let stack = ScanStack { scrub_interval: scrub, prefetch, swap_aware };
+        let start = HEAP_BASE + if aligned { start & !7 } else { start };
+        let mut batched = scan_os(stack, &contents, watched, guard_page);
+        let mut oracle = scan_os(stack, &contents, watched, guard_page);
+        prop_assert_eq!(observe(&mut batched), observe(&mut oracle), "identical set-up");
+
+        let mut got = vec![None; words];
+        batched.read_words(start, &mut got);
+        let want: Vec<Option<u64>> = (0..words as u64)
+            .map(|i| oracle.read_u64(start + 8 * i).ok())
+            .collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(observe(&mut batched), observe(&mut oracle), "after the scan");
+
+        follow_up(&mut batched);
+        follow_up(&mut oracle);
+        prop_assert_eq!(observe(&mut batched), observe(&mut oracle), "after the follow-up");
+    }
+}

@@ -1,11 +1,11 @@
 //! `safemem-campaign`: fan out deterministic fault-injection campaigns and
 //! print the differential oracle's scorecards. See `safemem-campaign --help`.
 //!
-//! Exit status: 0 if every campaign upheld its preset's invariant, 1 if the
-//! harsh zero-false-positive gate was violated or the sweep failed, 2 on a
-//! command-line error.
+//! Exit status: 0 if every campaign upheld its preset's invariants, 1 if a
+//! verdict failed (the `FAIL:` line on standard error names which) or the
+//! run errored, 2 on a command-line error.
 
-use safemem::cli::CampaignCli;
+use safemem::cli::{failure_line, CampaignCli};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -17,10 +17,10 @@ fn main() {
         }
     };
     match cli.execute() {
-        Ok((report, ok)) => {
+        Ok((report, failed)) => {
             print!("{report}");
-            if !ok {
-                eprintln!("FAIL: a campaign violated the zero-false-positive invariant");
+            if !failed.is_empty() {
+                eprintln!("{}", failure_line(&failed));
                 std::process::exit(1);
             }
         }

@@ -299,9 +299,9 @@ pub fn campaign_usage() -> String {
          \x20                     fleet runs a multi-process churn fleet on one shared\n\
          \x20                     machine at a sub-1.0 sampling rate and scores the\n\
          \x20                     fleet-level detection probability 1-(1-r)^n\n\
-         \x20 --processes <n>     fleet size, at least 1 (default {fleet_procs}; requires\n\
-         \x20                     --preset fleet, which sizes by processes instead of\n\
-         \x20                     --seeds)\n\
+         \x20 --processes <n>     fleet size, 1 to {max_procs} (default {fleet_procs};\n\
+         \x20                     requires --preset fleet, which sizes by processes\n\
+         \x20                     instead of --seeds)\n\
          \x20 --fleet-shards <n>  partition the shared-machine fleet (phase A) into n\n\
          \x20                     parallel shards, each owning its own machine sized to\n\
          \x20                     its processes' frame windows (default 1, at least 1;\n\
@@ -312,7 +312,9 @@ pub fn campaign_usage() -> String {
          \x20 --fleet-sweep       grid sampling rate x fleet size over shared recorded\n\
          \x20                     traces and report the knee of observed fleet-level\n\
          \x20                     detection (requires --preset fleet)\n\
-         \x20 --seeds <n>         number of campaign seeds to fan out (default 8)\n\
+         \x20 --seeds <n>         number of campaign seeds to fan out (default 8); seeds x\n\
+         \x20                     workloads (x sampling rates for frontier) is at most\n\
+         \x20                     {max_cells} campaign cells\n\
          \x20 --seed0 <n>         first seed (default 0)\n\
          \x20 --workloads <a,b>   comma-separated workload names (default: {workloads};\n\
          \x20                     for --preset arena: {arena_workloads};\n\
@@ -342,6 +344,8 @@ pub fn campaign_usage() -> String {
          \x20 --verbose           print every per-campaign scorecard, not just the aggregate\n",
         presets = crate::faultinject::CampaignSpec::PRESETS.join(" | "),
         fleet_procs = crate::faultinject::DEFAULT_FLEET_PROCESSES,
+        max_procs = crate::faultinject::MAX_FLEET_PROCESSES,
+        max_cells = crate::faultinject::MAX_CAMPAIGN_CELLS,
         workloads = crate::faultinject::spec::PRESET_WORKLOADS.join(","),
         arena_workloads = crate::faultinject::spec::CVE_WORKLOADS.join(","),
         frontier_rates = crate::faultinject::FRONTIER_RATES_PPM
@@ -477,6 +481,12 @@ impl CampaignCli {
                                 .into(),
                         ));
                     }
+                    let max = crate::faultinject::MAX_FLEET_PROCESSES;
+                    if n > max {
+                        return Err(CliError(format!(
+                            "--processes {n} exceeds the limit of {max} processes per fleet"
+                        )));
+                    }
                     cli.processes = Some(n);
                 }
                 "--fleet-shards" => {
@@ -572,7 +582,7 @@ impl CampaignCli {
                 "--corpus-mode" => {
                     cli.corpus_mode =
                         crate::faultinject::CorpusMode::parse(&value("--corpus-mode")?)
-                            .map_err(CliError)?;
+                            .map_err(|e| CliError(format!("--corpus-mode: {e}")))?;
                     corpus_mode_given = true;
                 }
                 "--verbose" | "-v" => cli.verbose = true,
@@ -643,6 +653,25 @@ impl CampaignCli {
         if cli.preset == "frontier" && cli.sampling_ppm.is_empty() {
             cli.sampling_ppm = crate::faultinject::FRONTIER_RATES_PPM.to_vec();
         }
+        // Bound the matrix before anything is allocated for it. The fleet
+        // sizes by --processes, bounded where that flag is parsed.
+        if cli.preset != "fleet" {
+            let rates = cli.sampling_ppm.len().max(1);
+            if crate::faultinject::campaign_cells(cli.seeds, cli.workloads.len(), rates).is_none() {
+                let ladder = if cli.sampling_ppm.is_empty() {
+                    String::new()
+                } else {
+                    format!(" x {rates} sampling rates")
+                };
+                return Err(CliError(format!(
+                    "--seeds {} x {} workloads{ladder} exceeds the limit of {} campaign cells; \
+                     lower --seeds or --workloads",
+                    cli.seeds,
+                    cli.workloads.len(),
+                    crate::faultinject::MAX_CAMPAIGN_CELLS
+                )));
+            }
+        }
         Ok(cli)
     }
 
@@ -657,9 +686,10 @@ impl CampaignCli {
     }
 
     /// Runs the campaign sweep, sharded across worker threads. Returns the
-    /// rendered report and whether every campaign upheld the preset's
-    /// invariant (always `true` for presets that inject uncorrectable
-    /// errors — they have no zero-false-positive guarantee to check).
+    /// rendered report and the verdicts that failed, named as the report's
+    /// verdict lines name them (`harsh`, `survival`, `frontier`, `harsh
+    /// (rate 1.0)`, `fleet`, `sweep`); empty when every campaign upheld its
+    /// preset's invariants. See [`failure_line`].
     ///
     /// The report has two parts: the deterministic scorecard (per-campaign
     /// cards with `--verbose`, then the aggregate), which is byte-identical
@@ -672,7 +702,7 @@ impl CampaignCli {
     /// `--bench-json` path, or — defensively — if a `--bench-threads`
     /// cross-check ever catches two thread counts disagreeing on the
     /// scorecard.
-    pub fn execute(&self) -> Result<(String, bool), CliError> {
+    pub fn execute(&self) -> Result<(String, Vec<&'static str>), CliError> {
         use crate::faultinject::{
             default_threads, expand_frontier, expand_matrix, render_bench_json,
             render_frontier_bench_json, render_worker_table, run_matrix_streamed_corpus, BenchRun,
@@ -794,19 +824,19 @@ impl CampaignCli {
         // Sampled-out allocations legitimately miss their planted bug, so
         // the full harsh invariant only binds the frontier's always-on rung;
         // what binds every rung is zero false positives from sampling.
-        let ok = if frontier {
-            stream.aggregate.frontier_invariants_hold()
+        let failed = if frontier {
+            stream.aggregate.failed_frontier_verdicts()
         } else {
-            stream.aggregate.invariants_hold()
+            stream.aggregate.failed_verdicts()
         };
-        Ok((report, ok))
+        Ok((report, failed))
     }
 
     /// The `fleet` preset: a two-phase multi-process campaign (sharded
     /// shared-machine fleet, then sharded per-process cells) with its own
     /// scorecard, optional shard-scaling measurements, and the optional
     /// rate × fleet-size sweep.
-    fn execute_fleet(&self) -> Result<(String, bool), CliError> {
+    fn execute_fleet(&self) -> Result<(String, Vec<&'static str>), CliError> {
         use crate::faultinject::{
             default_threads, expand_fleet, render_fleet, render_fleet_bench_json,
             render_fleet_sweep, render_worker_table, run_fleet_corpus, run_fleet_sweep,
@@ -926,10 +956,26 @@ impl CampaignCli {
             std::fs::write(path, json)
                 .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
         }
-        let ok =
-            outcome.agg.invariants_hold() && sweep.as_ref().is_none_or(|s| s.invariants_hold());
-        Ok((report, ok))
+        let mut failed = Vec::new();
+        if !outcome.agg.invariants_hold() {
+            failed.push("fleet");
+        }
+        if sweep.as_ref().is_some_and(|s| !s.invariants_hold()) {
+            failed.push("sweep");
+        }
+        Ok((report, failed))
     }
+}
+
+/// The `safemem-campaign` failure line for the verdicts
+/// [`CampaignCli::execute`] reports as failed.
+#[must_use]
+pub fn failure_line(failed: &[&str]) -> String {
+    let plural = if failed.len() == 1 { "" } else { "s" };
+    format!(
+        "FAIL: {} invariant{plural} violated (see the verdict lines of the report)",
+        failed.join(", ")
+    )
 }
 
 /// Renders the `--bench-shards` speedup lines (empty without measurements).
@@ -1129,8 +1175,8 @@ mod tests {
             "2",
         ])
         .unwrap();
-        let (report, ok) = cli.execute().unwrap();
-        assert!(ok, "frontier invariant holds:\n{report}");
+        let (report, failed) = cli.execute().unwrap();
+        assert!(failed.is_empty(), "frontier invariant holds:\n{report}");
         assert!(
             report.contains("frontier: overhead vs detection across sampling rates"),
             "{report}"
@@ -1210,6 +1256,94 @@ mod tests {
     }
 
     #[test]
+    fn campaign_cli_rejects_matrices_above_the_cell_limit() {
+        use crate::faultinject::MAX_CAMPAIGN_CELLS;
+        let limit = MAX_CAMPAIGN_CELLS.to_string();
+        for preset in ["harsh", "arena", "frontier", "mixed", "quiet"] {
+            let err =
+                parse_campaign(&["--preset", preset, "--seeds", "9999999999999"]).unwrap_err();
+            assert!(
+                err.0.contains("--seeds") && err.0.contains(&limit),
+                "{preset}: names the flag and the limit: {err}"
+            );
+        }
+        let err = parse_campaign(&["--seeds", "18446744073709551615"]).unwrap_err();
+        assert!(err.0.contains("--seeds"), "overflowing product: {err}");
+        // The frontier counts its whole ladder.
+        let seeds = (MAX_CAMPAIGN_CELLS / 2).to_string();
+        let args = [
+            "--preset",
+            "frontier",
+            "--workloads",
+            "tar",
+            "--seeds",
+            &seeds,
+        ];
+        let err =
+            parse_campaign(&[&args[..], &["--sampling", "1.0,0.5,0.1"]].concat()).unwrap_err();
+        assert!(err.0.contains("3 sampling rates"), "{err}");
+        assert!(parse_campaign(&[&args[..], &["--sampling", "1.0"]].concat()).is_ok());
+        // Exactly at the limit is accepted.
+        let cli = parse_campaign(&["--workloads", "tar", "--seeds", &limit]).unwrap();
+        assert_eq!(cli.seeds, MAX_CAMPAIGN_CELLS);
+        // The fleet sizes by --processes; --seeds does not bound it.
+        assert!(parse_campaign(&["--preset", "fleet", "--seeds", "9999999999999"]).is_ok());
+    }
+
+    #[test]
+    fn campaign_cli_rejects_fleets_above_the_process_limit() {
+        use crate::faultinject::MAX_FLEET_PROCESSES;
+        let limit = MAX_FLEET_PROCESSES.to_string();
+        let cli = parse_campaign(&["--preset", "fleet", "--processes", &limit]).unwrap();
+        assert_eq!(cli.processes, Some(MAX_FLEET_PROCESSES));
+        for n in ["65537", "99999999999", "18446744073709551615"] {
+            let err = parse_campaign(&["--preset", "fleet", "--processes", n]).unwrap_err();
+            assert!(
+                err.0.contains("--processes") && err.0.contains(&limit),
+                "names the flag and the limit: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn campaign_usage_lists_the_limits() {
+        let usage = campaign_usage();
+        let max_cells = crate::faultinject::MAX_CAMPAIGN_CELLS.to_string();
+        let max_procs = crate::faultinject::MAX_FLEET_PROCESSES.to_string();
+        assert!(usage.contains(&max_cells), "{usage}");
+        assert!(usage.contains(&max_procs), "{usage}");
+    }
+
+    #[test]
+    fn campaign_reports_which_verdict_failed() {
+        // With no requests the planted bug never triggers: zero false
+        // positives everywhere, yet the harsh verdict (all planted bugs
+        // found) fails, and only that verdict is named.
+        let cli = parse_campaign(&[
+            "--requests",
+            "0",
+            "--seeds",
+            "1",
+            "--workloads",
+            "gzip",
+            "--threads",
+            "1",
+        ])
+        .unwrap();
+        let (report, failed) = cli.execute().unwrap();
+        assert_eq!(failed, vec!["harsh"], "{report}");
+        assert!(report.contains("harsh invariant"), "{report}");
+        assert_eq!(
+            failure_line(&failed),
+            "FAIL: harsh invariant violated (see the verdict lines of the report)"
+        );
+        assert_eq!(
+            failure_line(&["fleet", "sweep"]),
+            "FAIL: fleet, sweep invariants violated (see the verdict lines of the report)"
+        );
+    }
+
+    #[test]
     fn fleet_campaign_runs_end_to_end() {
         let cli = parse_campaign(&[
             "--preset",
@@ -1222,8 +1356,8 @@ mod tests {
             "2",
         ])
         .unwrap();
-        let (report, ok) = cli.execute().unwrap();
-        assert!(ok, "fleet invariant holds:\n{report}");
+        let (report, failed) = cli.execute().unwrap();
+        assert!(failed.is_empty(), "fleet invariant holds:\n{report}");
         assert!(
             report.contains("phase A (shared-machine fleet)"),
             "{report}"
@@ -1259,8 +1393,11 @@ mod tests {
             json_path.to_str().unwrap(),
         ])
         .unwrap();
-        let (report, ok) = cli.execute().unwrap();
-        assert!(ok, "fleet + sweep invariants hold:\n{report}");
+        let (report, failed) = cli.execute().unwrap();
+        assert!(
+            failed.is_empty(),
+            "fleet + sweep invariants hold:\n{report}"
+        );
         assert!(report.contains("shard scaling: 2 shards"), "{report}");
         assert!(
             report.contains("fleet sweep: sampling rate x fleet size"),
@@ -1300,8 +1437,8 @@ mod tests {
                 threads,
             ])
             .unwrap();
-            let (report, ok) = cli.execute().unwrap();
-            assert!(ok, "harsh invariant holds:\n{report}");
+            let (report, failed) = cli.execute().unwrap();
+            assert!(failed.is_empty(), "harsh invariant holds:\n{report}");
             strip_execution(&report)
         };
         assert_eq!(run("1"), run("3"));
