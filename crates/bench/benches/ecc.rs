@@ -1,14 +1,20 @@
-//! Microbenchmarks of the ECC memory fast path: the table-driven codec, the
-//! bulk (frame-at-a-time) controller read/write streams, and the cached-plan
-//! scrubber. These are the layers every simulated byte funnels through, so
-//! regressions here show up directly as campaign throughput (see
-//! `BENCH_campaign.json` at the repository root).
+//! Microbenchmarks of the memory fast path: the table-driven codec, the
+//! bulk (frame-at-a-time) controller read/write streams, the cached-plan
+//! scrubber, and the cache hierarchy in front of them, timed through
+//! `Machine` (an L1 hit, a full miss that writes back a dirty L2 victim,
+//! and a fleet turn's working set followed by a full flush). These are the
+//! layers every simulated byte funnels through, so regressions here show
+//! up directly as campaign throughput (see `BENCH_campaign.json` at the
+//! repository root).
 //!
 //! Set `ECC_BENCH_JSON=<path>` to also emit the results as a JSON record —
 //! CI uploads it alongside the campaign bench artifact.
 
 use criterion::{black_box, Criterion};
+use safemem_cache::default_two_level;
 use safemem_ecc::{Codec, EccController, EccMode, ScrambleScheme};
+use safemem_machine::Machine;
+use std::time::{Duration, Instant};
 
 fn bench_codec(c: &mut Criterion) {
     let codec = Codec::new();
@@ -83,11 +89,69 @@ fn bench_scrub(c: &mut Criterion) {
     });
 }
 
+fn bench_cache(c: &mut Criterion) {
+    const LINE: u64 = 64;
+    let mut word = [0u8; 8];
+
+    let mut m = Machine::with_defaults(1 << 21);
+    m.write(0, &word).expect("clean memory");
+    c.bench_function("cache/read_l1_hit", |b| {
+        b.iter(|| m.read(black_box(8), &mut word).expect("clean memory"))
+    });
+
+    // Streaming 8-byte reads over a 512 KiB region, each a full miss. Before
+    // every run of `resident` reads (as many as the hierarchy holds), an
+    // untimed pass writes a disjoint region that fills every level with
+    // dirty lines, so each timed read's L2 victim is written back.
+    const REGION: u64 = 512 << 10;
+    let resident: u64 = default_two_level()
+        .iter()
+        .map(|level| u64::from(level.sets * level.ways))
+        .sum();
+    let mut m = Machine::with_defaults(1 << 21);
+    let mut next = 0;
+    c.bench_function("cache/read_miss_dirty_victim", |b| {
+        b.iter_custom(|iters| {
+            let mut elapsed = Duration::ZERO;
+            let mut done = 0;
+            while done < iters {
+                for line in 0..resident {
+                    m.write(REGION + line * LINE, &[1; 8])
+                        .expect("clean memory");
+                }
+                let run = resident.min(iters - done);
+                let start = Instant::now();
+                for _ in 0..run {
+                    m.read(black_box(next), &mut word).expect("clean memory");
+                    next = (next + LINE) % REGION;
+                }
+                elapsed += start.elapsed();
+                done += run;
+            }
+            elapsed
+        })
+    });
+
+    // A churn-server turn leaves about four lines in L1, two of them dirty
+    // (the connection buffer it fills); the fleet then flushes everything.
+    let mut m = Machine::with_defaults(1 << 21);
+    c.bench_function("cache/flush_all_fleet_turn", |b| {
+        b.iter(|| {
+            m.write(black_box(0x1000), &[0xB0; 128])
+                .expect("clean memory");
+            m.read(0x2000, &mut word).expect("clean memory");
+            m.read(0x3040, &mut word).expect("clean memory");
+            m.flush_all_caches();
+        })
+    });
+}
+
 fn main() {
     let mut criterion = Criterion::default();
     bench_codec(&mut criterion);
     bench_streaming(&mut criterion);
     bench_scrub(&mut criterion);
+    bench_cache(&mut criterion);
     if let Ok(path) = std::env::var("ECC_BENCH_JSON") {
         criterion
             .write_json("safemem-ecc-fastpath", &path)

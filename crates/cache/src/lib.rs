@@ -170,14 +170,6 @@ pub fn default_two_level() -> Vec<CacheConfig> {
     ]
 }
 
-#[derive(Clone)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    lru: u64,
-    data: Box<[u8]>,
-}
-
 /// Per-level counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -224,91 +216,142 @@ impl Traffic {
     }
 }
 
+/// One way's tag and LRU stamp, side by side so that a set's ways share
+/// one or two host cache lines. A stamp is the level's tick at the line's
+/// last use: a fresh tick each time, so stamps are unique within a level.
+#[derive(Clone, Copy)]
+struct Way {
+    tag: u64,
+    stamp: u64,
+}
+
+/// An empty way: its tag is never a line address (those are multiples of
+/// the line size, at least 8), and its stamp is below every resident
+/// line's, so the LRU scan picks it first.
+const EMPTY: Way = Way {
+    tag: u64::MAX,
+    stamp: 0,
+};
+
+/// One level: flat arrays indexed by slot (`set * ways + way`).
 struct CacheLevel {
-    config: CacheConfig,
-    sets: Vec<Vec<Line>>, // each inner Vec holds at most `ways` lines
+    /// `log2(line_size)`: a line address shifted right by this is its line
+    /// number, whose low bits (`set_mask`) are its set.
+    line_shift: u32,
+    set_mask: u64,
+    ways: usize,
+    line_size: usize,
+    way: Vec<Way>,
+    dirty: Vec<bool>,
+    /// One bit per slot, set while the slot holds a line.
+    occupied: Vec<u64>,
+    /// The lines' bytes: slot `s` at `[s * line_size, (s + 1) * line_size)`.
+    data: Vec<u8>,
     stats: LevelStats,
+    /// Advances once per probe (hit or miss) and once per install.
     tick: u64,
 }
 
 impl CacheLevel {
     fn new(config: CacheConfig) -> Self {
         config.validate();
+        let slots = config.sets as usize * config.ways as usize;
         CacheLevel {
-            config,
-            sets: (0..config.sets).map(|_| Vec::new()).collect(),
+            line_shift: config.line_size.trailing_zeros(),
+            set_mask: u64::from(config.sets) - 1,
+            ways: config.ways as usize,
+            line_size: config.line_size as usize,
+            way: vec![EMPTY; slots],
+            dirty: vec![false; slots],
+            occupied: vec![0; slots.div_ceil(64)],
+            data: vec![0; slots * config.line_size as usize],
             stats: LevelStats::default(),
             tick: 0,
         }
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / u64::from(self.config.line_size)) % u64::from(self.config.sets)) as usize
+    /// The ways of the set `line_addr` maps to, and the first one's slot.
+    #[inline]
+    fn set(&self, line_addr: u64) -> (usize, &[Way]) {
+        let base = ((line_addr >> self.line_shift) & self.set_mask) as usize * self.ways;
+        (base, &self.way[base..base + self.ways])
     }
 
-    fn lookup(&mut self, line_addr: u64) -> Option<&mut Line> {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line_addr);
-        let line = self.sets[set].iter_mut().find(|l| l.tag == line_addr);
-        if let Some(l) = line {
-            l.lru = tick;
-            self.stats.hits += 1;
-            Some(l)
-        } else {
-            self.stats.misses += 1;
-            None
+    /// The slot holding `line_addr`, if resident. Changes nothing.
+    #[inline]
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        let (base, set) = self.set(line_addr);
+        set.iter()
+            .position(|w| w.tag == line_addr)
+            .map(|w| base + w)
+    }
+
+    /// `hits` back-to-back hits on a resident line, each counted as the
+    /// lookup and reinstall it stands for: the tick advances twice per hit
+    /// and the line takes the final tick. Returns `None`, changing nothing,
+    /// on a miss; zero hits change nothing either.
+    #[inline]
+    fn touch(&mut self, line_addr: u64, hits: u64) -> Option<usize> {
+        let slot = self.find(line_addr)?;
+        if hits > 0 {
+            self.tick += 2 * hits;
+            self.stats.hits += hits;
+            self.way[slot].stamp = self.tick;
         }
+        Some(slot)
     }
 
-    /// Hit fast path for `hits` back-to-back hits on one line: refreshes
-    /// the line in place instead of extracting and reinstalling it. Each
-    /// hit is counter-equivalent to `lookup` + `extract` + `install` (tick
-    /// advances twice, LRU takes the final tick, one hit recorded); only
-    /// the line's position within its set Vec differs, which nothing
-    /// observable depends on — LRU values stay unique, so eviction victims
-    /// are position-independent. Returns `None` without touching any
-    /// counter on a miss.
-    fn touch(&mut self, line_addr: u64, hits: u64) -> Option<&mut Line> {
-        let set = self.set_index(line_addr);
-        let pos = self.sets[set].iter().position(|l| l.tag == line_addr)?;
-        self.tick += 2 * hits;
-        self.stats.hits += hits;
-        let line = &mut self.sets[set][pos];
-        line.lru = self.tick;
-        Some(line)
+    /// The slot a line of `line_addr` is installed into: an empty way of
+    /// its set if there is one, else the least recently used way.
+    #[inline]
+    fn lru_slot(&self, line_addr: u64) -> usize {
+        let (base, set) = self.set(line_addr);
+        let lru = set.iter().enumerate().min_by_key(|(_, w)| w.stamp);
+        base + lru.expect("a set has at least one way").0
     }
 
-    /// Removes the line if present, returning it.
-    fn extract(&mut self, line_addr: u64) -> Option<Line> {
-        let set = self.set_index(line_addr);
-        let pos = self.sets[set].iter().position(|l| l.tag == line_addr)?;
-        Some(self.sets[set].swap_remove(pos))
+    #[inline]
+    fn line(&self, slot: usize) -> &[u8] {
+        &self.data[slot * self.line_size..(slot + 1) * self.line_size]
     }
 
-    /// Installs a line, returning the evicted victim if the set was full.
-    fn install(&mut self, mut line: Line) -> Option<Line> {
-        self.tick += 1;
-        line.lru = self.tick;
-        let set = self.set_index(line.tag);
-        let ways = self.config.ways as usize;
-        let victim = if self.sets[set].len() >= ways {
-            let (pos, _) = self.sets[set]
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, l)| l.lru)
-                .expect("non-empty set");
-            self.stats.evictions += 1;
-            Some(self.sets[set].swap_remove(pos))
-        } else {
-            None
-        };
-        self.sets[set].push(line);
-        victim
+    #[inline]
+    fn line_mut(&mut self, slot: usize) -> &mut [u8] {
+        &mut self.data[slot * self.line_size..(slot + 1) * self.line_size]
     }
 
-    fn resident_line_addrs(&self) -> Vec<u64> {
-        self.sets.iter().flatten().map(|l| l.tag).collect()
+    /// Marks `slot`, whose bytes the caller has written, as holding `tag`,
+    /// stamped with the current tick.
+    #[inline]
+    fn fill(&mut self, slot: usize, tag: u64, dirty: bool) {
+        self.way[slot].tag = tag;
+        self.way[slot].stamp = self.tick;
+        self.dirty[slot] = dirty;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn vacate(&mut self, slot: usize) {
+        self.way[slot] = EMPTY;
+        self.dirty[slot] = false;
+        self.occupied[slot / 64] &= !(1 << (slot % 64));
+    }
+
+    /// Invalidates `slot`, writing its line back first if dirty. Returns
+    /// whether it was.
+    fn flush_slot<B: LineBacking + ?Sized>(
+        &mut self,
+        slot: usize,
+        backing: &mut B,
+        traffic: &mut Traffic,
+    ) -> bool {
+        let dirty = self.dirty[slot];
+        if dirty {
+            backing.write_line(self.way[slot].tag, self.line(slot));
+            traffic.memory_writes += 1;
+        }
+        self.vacate(slot);
+        dirty
     }
 }
 
@@ -334,10 +377,9 @@ pub struct Hierarchy {
     prefetch_limit: u64,
     prefetches_issued: u64,
     prefetches_squashed: u64,
-    /// Retired line buffers kept for reuse: refills pop one instead of
-    /// allocating, evictions and flushes push theirs back. Purely a host
-    /// allocation optimisation — no simulated state lives here.
-    spare: Vec<Box<[u8]>>,
+    /// Where a line bound for L1 waits: a refill (so a faulted one installs
+    /// nothing), or a line taken out of a lower level.
+    line_buf: Box<[u8]>,
 }
 
 impl fmt::Debug for Hierarchy {
@@ -387,7 +429,7 @@ impl Hierarchy {
             prefetch_limit: u64::MAX,
             prefetches_issued: 0,
             prefetches_squashed: 0,
-            spare: Vec::new(),
+            line_buf: vec![0; line_size as usize].into_boxed_slice(),
         }
     }
 
@@ -437,10 +479,9 @@ impl Hierarchy {
     #[must_use]
     pub fn residency(&self, addr: u64) -> Option<usize> {
         let line_addr = self.line_addr(addr);
-        self.levels.iter().position(|lvl| {
-            let set = lvl.set_index(line_addr);
-            lvl.sets[set].iter().any(|l| l.tag == line_addr)
-        })
+        self.levels
+            .iter()
+            .position(|lvl| lvl.find(line_addr).is_some())
     }
 
     /// The line-aligned address containing `addr`.
@@ -449,98 +490,95 @@ impl Hierarchy {
         addr & !(u64::from(self.line_size) - 1)
     }
 
-    /// A line-sized buffer for a refill: pooled if available, fresh
-    /// otherwise. Callers overwrite the full buffer before use.
-    fn take_buf(&mut self) -> Box<[u8]> {
-        self.spare
-            .pop()
-            .unwrap_or_else(|| vec![0u8; self.line_size as usize].into_boxed_slice())
-    }
-
-    /// Returns a dead line's buffer to the pool (bounded so pathological
-    /// flush storms cannot hoard memory).
-    fn retire_buf(&mut self, buf: Box<[u8]>) {
-        if self.spare.len() < 256 {
-            self.spare.push(buf);
-        }
-    }
-
-    /// Cascades a line into level `idx`, pushing victims downward; a dirty
-    /// victim leaving the last level is written to memory.
-    fn cascade_install<B: LineBacking + ?Sized>(
+    /// Makes room at level `idx` for a line tagged `tag`, advancing the
+    /// level's tick for the install, and returns the slot for the caller to
+    /// fill. An LRU victim first moves one level down, making room there in
+    /// turn, or is written back if dirty when it leaves the last level:
+    /// victims are chosen top-down and moved bottom-up.
+    fn make_room<B: LineBacking + ?Sized>(
         &mut self,
         idx: usize,
-        line: Line,
+        tag: u64,
         backing: &mut B,
         traffic: &mut Traffic,
-    ) {
-        let mut carry = Some(line);
-        let mut level = idx;
-        while let Some(l) = carry.take() {
-            if level >= self.levels.len() {
-                if l.dirty {
-                    backing.write_line(l.tag, &l.data);
-                    traffic.memory_writes += 1;
-                }
-                self.retire_buf(l.data);
-                break;
-            }
-            carry = self.levels[level].install(l);
-            level += 1;
+    ) -> usize {
+        let last = idx + 1 == self.levels.len();
+        let level = &mut self.levels[idx];
+        level.tick += 1;
+        let slot = level.lru_slot(tag);
+        let victim = level.way[slot];
+        if victim.stamp == EMPTY.stamp {
+            return slot;
         }
+        level.stats.evictions += 1;
+        if last {
+            if level.dirty[slot] {
+                backing.write_line(victim.tag, level.line(slot));
+                traffic.memory_writes += 1;
+            }
+        } else {
+            let below = self.make_room(idx + 1, victim.tag, backing, traffic);
+            let (upper, lower) = self.levels.split_at_mut(idx + 1);
+            let (from, to) = (&upper[idx], &mut lower[0]);
+            to.line_mut(below).copy_from_slice(from.line(slot));
+            to.fill(below, victim.tag, from.dirty[slot]);
+        }
+        slot
     }
 
-    /// Ensures the line containing `addr` is resident in L1, refilling from
-    /// memory on a full miss. Returns a mutable reference to the L1 line.
+    /// Installs the line waiting in `line_buf` at L1, cascading victims
+    /// downward. Returns its L1 slot.
+    fn install_buf<B: LineBacking + ?Sized>(
+        &mut self,
+        line_addr: u64,
+        dirty: bool,
+        backing: &mut B,
+        traffic: &mut Traffic,
+    ) -> usize {
+        let slot = self.make_room(0, line_addr, backing, traffic);
+        let l1 = &mut self.levels[0];
+        l1.line_mut(slot).copy_from_slice(&self.line_buf);
+        l1.fill(slot, line_addr, dirty);
+        slot
+    }
+
+    /// Brings a line that missed in L1 into L1: each lower level is probed
+    /// once, a hit there moves the line up, and a full miss refills it from
+    /// memory. A faulted refill installs nothing. Returns the line's L1
+    /// slot and whether it came from memory.
     fn ensure_in_l1<B: LineBacking + ?Sized>(
         &mut self,
         line_addr: u64,
         backing: &mut B,
         traffic: &mut Traffic,
-    ) -> Result<&mut Line, B::Error> {
-        // Look for a hit at any level.
-        let mut found: Option<(usize, Line)> = None;
-        for idx in 0..self.levels.len() {
-            if self.levels[idx].lookup(line_addr).is_some() {
-                let line = self.levels[idx].extract(line_addr).expect("just found");
-                found = Some((idx, line));
-                break;
-            }
+    ) -> Result<(usize, bool), B::Error> {
+        let l1 = &mut self.levels[0];
+        l1.tick += 1;
+        l1.stats.misses += 1;
+        let mut hit_dirty = None;
+        for (idx, level) in self.levels.iter_mut().enumerate().skip(1) {
+            level.tick += 1;
+            let Some(slot) = level.find(line_addr) else {
+                level.stats.misses += 1;
+                continue;
+            };
+            level.stats.hits += 1;
+            traffic.level_hits[idx] += 1;
+            self.line_buf.copy_from_slice(level.line(slot));
+            hit_dirty = Some(level.dirty[slot]);
+            level.vacate(slot);
+            break;
         }
-        let line = match found {
-            Some((idx, line)) => {
-                traffic.level_hits[idx] += 1;
-                line
-            }
-            None => {
-                // Full miss: refill from memory. A fault aborts the refill
-                // and nothing is installed.
-                let mut data = self.take_buf();
-                if let Err(e) = backing.read_line(line_addr, &mut data) {
-                    self.retire_buf(data);
-                    return Err(e);
-                }
-                traffic.memory_reads += 1;
-                Line {
-                    tag: line_addr,
-                    dirty: false,
-                    lru: 0,
-                    data,
-                }
-            }
-        };
-        // (Re)install at L1.
-        if let Some(victim) = self.levels[0].install(line) {
-            self.cascade_install(1, victim, backing, traffic);
+        if hit_dirty.is_none() {
+            backing.read_line(line_addr, &mut self.line_buf)?;
+            traffic.memory_reads += 1;
         }
-        let set = self.levels[0].set_index(line_addr);
-        Ok(self.levels[0].sets[set]
-            .iter_mut()
-            .find(|l| l.tag == line_addr)
-            .expect("just installed"))
+        let slot = self.install_buf(line_addr, hit_dirty == Some(true), backing, traffic);
+        Ok((slot, hit_dirty.is_none()))
     }
 
-    /// Reads `buf.len()` bytes at `addr` through the hierarchy.
+    /// Reads `buf.len()` bytes at `addr` through the hierarchy. An empty
+    /// `buf` touches nothing.
     ///
     /// # Errors
     ///
@@ -553,26 +591,25 @@ impl Hierarchy {
         backing: &mut B,
         traffic: &mut Traffic,
     ) -> Result<(), B::Error> {
+        if buf.is_empty() {
+            return Ok(());
+        }
         let ls = u64::from(self.line_size);
         let end = addr + buf.len() as u64;
         let mut line_addr = self.line_addr(addr);
         while line_addr < end {
             let lo = line_addr.max(addr);
             let hi = (line_addr + ls).min(end);
-            // L1 hit fast path: the overwhelmingly common case needs no
-            // level scan, no extract/reinstall, and no prefetch decision.
-            if let Some(line) = self.levels[0].touch(line_addr, 1) {
-                traffic.level_hits[0] += 1;
-                buf[(lo - addr) as usize..(hi - addr) as usize].copy_from_slice(
-                    &line.data[(lo - line_addr) as usize..(hi - line_addr) as usize],
-                );
-                line_addr += ls;
-                continue;
-            }
-            let missed = self.residency(line_addr).is_none();
-            let line = self.ensure_in_l1(line_addr, backing, traffic)?;
-            buf[(lo - addr) as usize..(hi - addr) as usize]
-                .copy_from_slice(&line.data[(lo - line_addr) as usize..(hi - line_addr) as usize]);
+            let (slot, missed) = match self.levels[0].touch(line_addr, 1) {
+                Some(slot) => {
+                    traffic.level_hits[0] += 1;
+                    (slot, false)
+                }
+                None => self.ensure_in_l1(line_addr, backing, traffic)?,
+            };
+            buf[(lo - addr) as usize..(hi - addr) as usize].copy_from_slice(
+                &self.levels[0].line(slot)[(lo - line_addr) as usize..(hi - line_addr) as usize],
+            );
             if missed {
                 self.maybe_prefetch(line_addr + ls, backing, traffic);
             }
@@ -588,9 +625,9 @@ impl Hierarchy {
     /// The effect equals `reads` calls of [`Hierarchy::read`] that each hit
     /// that line in L1: L1's tick advances by `2 * reads`, the line's LRU
     /// stamp takes the final tick, and `reads` hits are recorded in L1's
-    /// stats and in `traffic`. Returns `false`, changing nothing, if the
-    /// line is not resident in L1. Hits never reach memory, so no backing
-    /// is needed.
+    /// stats and in `traffic`; `reads == 0` changes nothing. Returns
+    /// `false`, changing nothing, if the line is not resident in L1. Hits
+    /// never reach memory, so no backing is needed.
     ///
     /// # Panics
     ///
@@ -608,10 +645,10 @@ impl Hierarchy {
             lo + buf.len() <= self.line_size as usize,
             "read_l1_repeated span leaves the line"
         );
-        let Some(line) = self.levels[0].touch(line_addr, reads) else {
+        let Some(slot) = self.levels[0].touch(line_addr, reads) else {
             return false;
         };
-        buf.copy_from_slice(&line.data[lo..lo + buf.len()]);
+        buf.copy_from_slice(&self.levels[0].line(slot)[lo..lo + buf.len()]);
         traffic.level_hits[0] += reads;
         true
     }
@@ -633,30 +670,18 @@ impl Hierarchy {
             return;
         }
         self.prefetches_issued += 1;
-        let mut data = self.take_buf();
-        match backing.read_line(line_addr, &mut data) {
-            Ok(()) => {
-                traffic.memory_reads += 1;
-                let line = Line {
-                    tag: line_addr,
-                    dirty: false,
-                    lru: 0,
-                    data,
-                };
-                if let Some(victim) = self.levels[0].install(line) {
-                    self.cascade_install(1, victim, backing, traffic);
-                }
-            }
-            Err(_) => {
-                self.prefetches_squashed += 1;
-                self.retire_buf(data);
-            }
+        if backing.read_line(line_addr, &mut self.line_buf).is_err() {
+            self.prefetches_squashed += 1;
+            return;
         }
+        traffic.memory_reads += 1;
+        self.install_buf(line_addr, false, backing, traffic);
     }
 
     /// Writes `data` at `addr` through the hierarchy (write-allocate: a miss
     /// refills the line first, so writes to uncached lines do read memory —
     /// the property SafeMem relies on to catch stores to watched lines).
+    /// An empty `data` touches nothing.
     ///
     /// # Errors
     ///
@@ -668,6 +693,9 @@ impl Hierarchy {
         backing: &mut B,
         traffic: &mut Traffic,
     ) -> Result<(), B::Error> {
+        if data.is_empty() {
+            return Ok(());
+        }
         let ls = u64::from(self.line_size);
         let end = addr + data.len() as u64;
         let mut line_addr = self.line_addr(addr);
@@ -675,31 +703,32 @@ impl Hierarchy {
             let lo = line_addr.max(addr);
             let hi = (line_addr + ls).min(end);
             let chunk = &data[(lo - addr) as usize..(hi - addr) as usize];
-            // L1 hit fast path (policy-independent: a hit never consults the
-            // write-miss policy and never prefetches).
-            if let Some(line) = self.levels[0].touch(line_addr, 1) {
-                traffic.level_hits[0] += 1;
-                line.data[(lo - line_addr) as usize..(hi - line_addr) as usize]
-                    .copy_from_slice(chunk);
-                line.dirty = true;
-                line_addr += ls;
-                continue;
-            }
-            let cached = self.residency(line_addr).is_some();
-            if cached || self.write_miss == WriteMissPolicy::WriteAllocate {
-                let line = self.ensure_in_l1(line_addr, backing, traffic)?;
-                line.data[(lo - line_addr) as usize..(hi - line_addr) as usize]
-                    .copy_from_slice(chunk);
-                line.dirty = true;
-                if !cached {
-                    // A write-allocate miss is a demand miss too.
-                    self.maybe_prefetch(line_addr + ls, backing, traffic);
+            // A hit never consults the write-miss policy.
+            let (slot, missed) = match self.levels[0].touch(line_addr, 1) {
+                Some(slot) => {
+                    traffic.level_hits[0] += 1;
+                    (slot, false)
                 }
-            } else {
-                // No-write-allocate: the store bypasses the cache. Memory
-                // writes never verify ECC, so watched lines are NOT caught.
-                backing.write_through(lo, chunk)?;
-                traffic.memory_writes += 1;
+                None if self.write_miss == WriteMissPolicy::NoWriteAllocate
+                    && self.residency(line_addr).is_none() =>
+                {
+                    // No-write-allocate: the store bypasses the cache.
+                    // Memory writes never verify ECC, so watched lines are
+                    // NOT caught.
+                    backing.write_through(lo, chunk)?;
+                    traffic.memory_writes += 1;
+                    line_addr += ls;
+                    continue;
+                }
+                None => self.ensure_in_l1(line_addr, backing, traffic)?,
+            };
+            let l1 = &mut self.levels[0];
+            l1.line_mut(slot)[(lo - line_addr) as usize..(hi - line_addr) as usize]
+                .copy_from_slice(chunk);
+            l1.dirty[slot] = true;
+            if missed {
+                // A write-allocate miss is a demand miss too.
+                self.maybe_prefetch(line_addr + ls, backing, traffic);
             }
             line_addr += ls;
         }
@@ -718,15 +747,9 @@ impl Hierarchy {
         traffic: &mut Traffic,
     ) -> bool {
         let line_addr = self.line_addr(addr);
-        for idx in 0..self.levels.len() {
-            if let Some(line) = self.levels[idx].extract(line_addr) {
-                let dirty = line.dirty;
-                if dirty {
-                    backing.write_line(line.tag, &line.data);
-                    traffic.memory_writes += 1;
-                }
-                self.retire_buf(line.data);
-                return dirty;
+        for level in &mut self.levels {
+            if let Some(slot) = level.find(line_addr) {
+                return level.flush_slot(slot, backing, traffic);
             }
         }
         false
@@ -754,15 +777,18 @@ impl Hierarchy {
         writebacks
     }
 
-    /// Writes back every dirty line and empties the hierarchy.
+    /// Writes back every dirty line and empties the hierarchy, walking the
+    /// occupancy bitmaps.
     pub fn flush_all<B: LineBacking + ?Sized>(&mut self, backing: &mut B, traffic: &mut Traffic) {
-        let addrs: Vec<u64> = self
-            .levels
-            .iter()
-            .flat_map(CacheLevel::resident_line_addrs)
-            .collect();
-        for addr in addrs {
-            self.flush_line(addr, backing, traffic);
+        for level in &mut self.levels {
+            for w in 0..level.occupied.len() {
+                let mut bits = level.occupied[w];
+                while bits != 0 {
+                    let slot = 64 * w + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    level.flush_slot(slot, backing, traffic);
+                }
+            }
         }
     }
 
@@ -771,7 +797,7 @@ impl Hierarchy {
     pub fn assert_exclusive(&self) {
         let mut seen = std::collections::HashSet::new();
         for level in &self.levels {
-            for addr in level.resident_line_addrs() {
+            for addr in level.way.iter().map(|w| w.tag).filter(|&t| t != EMPTY.tag) {
                 assert!(seen.insert(addr), "line {addr:#x} resident in two levels");
             }
         }
@@ -1192,6 +1218,45 @@ mod tests {
         assert!(!bulk.read_l1_repeated(128, &mut [0u8; 8], 1, &mut tb));
         assert_eq!(bulk.level_stats(), before);
         assert_eq!(bulk.residency(128), Some(1));
+    }
+
+    #[test]
+    fn empty_spans_touch_nothing() {
+        // A zero-byte access names no line, even at an unaligned address
+        // inside a poisoned (watched) line: no lookup, no refill, no fault.
+        let mut h = small();
+        let mut ram = FaultyRam {
+            ram: Ram::new(1 << 12),
+            poisoned: [64u64].into_iter().collect(),
+        };
+        let mut t = Traffic::new(2);
+        assert_eq!(h.read(0x41, &mut [], &mut ram, &mut t), Ok(()));
+        assert_eq!(h.write(0x50, &[], &mut ram, &mut t), Ok(()));
+        assert_eq!(h.read(0x101, &mut [], &mut ram, &mut t), Ok(()));
+        assert_eq!(t, Traffic::new(2));
+        assert_eq!(h.level_stats(), vec![LevelStats::default(); 2]);
+        assert_eq!(h.residency(0x101), None);
+    }
+
+    #[test]
+    fn zero_repeated_reads_change_nothing() {
+        // L1 set 0 (2 ways) ends up holding C (line 256) and A (line 0),
+        // with A the least recently used. Zero repeated reads of A must not
+        // refresh it, so the next fill of the set still evicts A.
+        let mut h = small();
+        let mut ram = Ram::new(1 << 16);
+        let mut t = Traffic::new(2);
+        let mut b = [0u8; 1];
+        for addr in [0, 128, 256, 0, 256] {
+            h.read(addr, &mut b, &mut ram, &mut t).unwrap();
+        }
+        let (stats, traffic) = (h.level_stats(), t.clone());
+        assert!(h.read_l1_repeated(0, &mut b, 0, &mut t));
+        assert_eq!(h.level_stats(), stats);
+        assert_eq!(t, traffic);
+        h.read(384, &mut b, &mut ram, &mut t).unwrap();
+        assert_eq!(h.residency(0), Some(1), "A was still the LRU line");
+        assert_eq!(h.residency(256), Some(0));
     }
 
     #[test]

@@ -559,21 +559,26 @@ mod tests {
     }
 
     #[test]
-    fn checksum_valid_body_with_a_bad_id_is_corrupt() {
+    fn checksum_valid_body_that_does_not_parse_is_corrupt() {
         // Header and checksum intact; the body names an id that does not fit
-        // u32 or that no earlier `M` line bound.
+        // u32 or that no earlier `M` line bound, or allocates more than the
+        // heap holds.
         let key = key();
-        for (body, line) in [("M 8\nF 4294967296\n", "line 2"), ("R 7 0 8\n", "line 1")] {
+        for (body, line) in [
+            ("M 8\nF 4294967296\n", "line 2"),
+            ("R 7 0 8\n", "line 1"),
+            ("M 100000000000\n", "line 1"),
+        ] {
             let empty_sum = format!("{:016x}", corpus_checksum(""));
             let rendered = TraceCorpus::render(&key, &Trace::new())
                 .replace(&empty_sum, &format!("{:016x}", corpus_checksum(body)))
                 + body;
-            let err = TraceCorpus::parse(Path::new("c/bad-id.trace"), &key, &rendered)
-                .expect_err("bad id must not load");
+            let err = TraceCorpus::parse(Path::new("c/bad-body.trace"), &key, &rendered)
+                .expect_err("an unparsable body must not load");
             assert!(matches!(err, CorpusError::Corrupt { .. }), "{err:?}");
             let msg = err.to_string();
             assert!(
-                msg.contains("c/bad-id.trace") && msg.contains(line),
+                msg.contains("c/bad-body.trace") && msg.contains(line),
                 "{msg}"
             );
         }

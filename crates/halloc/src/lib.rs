@@ -46,6 +46,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+/// Size of the heap region every [`Heap`] places buffers in: 256 MiB of
+/// address space from [`HEAP_BASE`].
+pub const HEAP_BYTES: u64 = 1 << 28;
+
 /// Cache line size assumed by the line-based layouts. Matches the default
 /// machine configuration; the granularity ablation constructs heaps with an
 /// explicit [`Heap::with_line_size`].
@@ -227,7 +231,7 @@ impl Heap {
             policy,
             line_bytes,
             pad_lines,
-            limit: HEAP_BASE + (1 << 28), // 256 MiB of address space
+            limit: HEAP_BASE + HEAP_BYTES,
             bump: HEAP_BASE,
             live: BTreeMap::new(),
             free_lists: FxHashMap::default(),
@@ -303,25 +307,27 @@ impl Heap {
         self.live.get(&addr)
     }
 
-    fn round_up(value: u64, to: u64) -> u64 {
-        value.div_ceil(to) * to
+    fn round_up(value: u64, to: u64) -> Option<u64> {
+        value.div_ceil(to).checked_mul(to)
     }
 
-    /// Footprint and payload offset for a request under `policy`.
-    fn placement(&self, policy: LayoutPolicy, size: u64) -> (u64, u64) {
+    /// Footprint and payload offset for a request under `policy`, or
+    /// `None` if the footprint does not fit a `u64`.
+    fn placement(&self, policy: LayoutPolicy, size: u64) -> Option<(u64, u64)> {
         let size = size.max(1);
-        match policy {
-            LayoutPolicy::Natural => (Self::round_up(size, 16), 0),
-            LayoutPolicy::LineAligned => (Self::round_up(size, self.line_bytes), 0),
+        Some(match policy {
+            LayoutPolicy::Natural => (Self::round_up(size, 16)?, 0),
+            LayoutPolicy::LineAligned => (Self::round_up(size, self.line_bytes)?, 0),
             LayoutPolicy::LinePadded => (
-                Self::round_up(size, self.line_bytes) + 2 * self.pad_lines * self.line_bytes,
+                Self::round_up(size, self.line_bytes)?
+                    .checked_add(2 * self.pad_lines * self.line_bytes)?,
                 self.pad_lines * self.line_bytes,
             ),
             LayoutPolicy::PageGuard => (
-                Self::round_up(size, PAGE_BYTES) + 2 * PAGE_BYTES,
+                Self::round_up(size, PAGE_BYTES)?.checked_add(2 * PAGE_BYTES)?,
                 PAGE_BYTES,
             ),
-        }
+        })
     }
 
     /// Allocates `size` bytes (`malloc`).
@@ -350,7 +356,7 @@ impl Heap {
         policy: LayoutPolicy,
     ) -> Result<Allocation, AllocError> {
         os.compute(os.machine().cost().allocator_op_cycles);
-        let (stride, offset) = self.placement(policy, size);
+        let (stride, offset) = self.placement(policy, size).ok_or(AllocError::OutOfHeap)?;
         let (base, reused) = match self
             .free_lists
             .get_mut(&(stride, offset))
@@ -358,10 +364,12 @@ impl Heap {
         {
             Some(base) => (base, true),
             None => {
-                let base = Self::round_up(self.bump, stride.clamp(16, PAGE_BYTES));
-                if base + stride > self.limit {
-                    return Err(AllocError::OutOfHeap);
-                }
+                let base = Self::round_up(self.bump, stride.clamp(16, PAGE_BYTES))
+                    .filter(|base| {
+                        base.checked_add(stride)
+                            .is_some_and(|end| end <= self.limit)
+                    })
+                    .ok_or(AllocError::OutOfHeap)?;
                 self.bump = base + stride;
                 (base, false)
             }
@@ -720,6 +728,26 @@ mod tests {
             let b = pure.alloc(&mut os, size).unwrap();
             assert_eq!((a.addr, a.base, a.stride), (b.addr, b.base, b.stride));
             assert_eq!(a.pad_before(), 0);
+        }
+    }
+
+    #[test]
+    fn oversized_requests_are_out_of_heap() {
+        // A footprint that overflows u64 is refused, not wrapped round to a
+        // small placement.
+        let mut os = os();
+        for policy in [
+            LayoutPolicy::Natural,
+            LayoutPolicy::LineAligned,
+            LayoutPolicy::LinePadded,
+            LayoutPolicy::PageGuard,
+        ] {
+            let mut h = Heap::new(policy);
+            for size in [u64::MAX, u64::MAX - 4096, HEAP_BYTES + 1] {
+                assert_eq!(h.alloc(&mut os, size).unwrap_err(), AllocError::OutOfHeap);
+            }
+            assert_eq!(h.stats(), HeapStats::default());
+            assert_eq!(h.address_space().0, 0);
         }
     }
 

@@ -521,6 +521,34 @@ mod tests {
     }
 
     #[test]
+    fn empty_accesses_touch_nothing() {
+        // A zero-byte access reads and writes no line: no cycles, no cache
+        // lookup and no ECC check, even unaligned or inside a watched line.
+        let mut m = Machine::with_defaults(1 << 20);
+        m.read(0x1001, &mut []).unwrap();
+        m.write(0x1003, &[]).unwrap();
+        assert_eq!(m.clock().cycles(), 0);
+        assert_eq!(
+            m.hierarchy().level_stats(),
+            vec![safemem_cache::LevelStats::default(); 2]
+        );
+        assert_eq!(m.controller().stats().groups_verified, 0);
+
+        let addr = 0x4000u64;
+        m.write(addr, &0u64.to_le_bytes()).unwrap();
+        let scheme = m.scramble();
+        m.flush_range(addr, 8);
+        m.controller_mut().set_enabled(false);
+        m.write_uncached(addr, &scheme.apply(0).to_le_bytes());
+        m.controller_mut().set_enabled(true);
+        let before = m.clock().cycles();
+        assert!(m.read(addr + 8, &mut []).is_ok());
+        assert!(m.write(addr + 16, &[]).is_ok());
+        assert_eq!(m.clock().cycles(), before);
+        assert!(m.read(addr, &mut [0u8; 1]).is_err(), "still armed");
+    }
+
+    #[test]
     fn compute_advances_clock_without_memory_traffic() {
         let mut m = Machine::with_defaults(1 << 20);
         m.compute(1000);

@@ -41,4 +41,4 @@ pub use registry::{
     all_workloads, churn_workloads, cve_workloads, extension_workloads, workload_by_name,
 };
 pub use synthetic::{Synthetic, SyntheticParams};
-pub use trace::{Recorder, Trace, TraceOp};
+pub use trace::{Recorder, Trace, TraceOp, MAX_SPAN_OVERRUN};

@@ -17,10 +17,16 @@
 
 use crate::columnar::ColumnarTrace;
 use crate::driver::RunResult;
+use safemem_alloc::HEAP_BYTES;
 use safemem_core::{CallStack, IncidentClass, MemTool};
-use safemem_os::Os;
+use safemem_os::{Os, PAGE_BYTES};
 use std::collections::HashMap;
 use std::str::{FromStr, SplitWhitespace};
+
+/// How far outside its buffer an access span in a parsed trace may reach,
+/// on either side. Two pages: far above the largest overrun any registered
+/// workload records (256 B past an 8 KiB buffer, in gzip's buggy run).
+pub const MAX_SPAN_OVERRUN: u64 = 2 * PAGE_BYTES;
 
 /// One recorded operation. Buffers are identified by a dense id assigned at
 /// `Malloc` time, because absolute addresses differ across layout policies.
@@ -228,16 +234,19 @@ impl Trace {
     /// Parses the text format produced by [`Trace::to_text`].
     ///
     /// Every id must fit `u32` and name a buffer an earlier `M` line bound,
-    /// which is what the replay engines rely on; a trace that breaks either
-    /// rule is rejected, never replayed.
+    /// which is what the replay engines rely on. An `M` size may not exceed
+    /// the heap ([`HEAP_BYTES`]), and an access span may not reach more
+    /// than [`MAX_SPAN_OVERRUN`] bytes outside its buffer. A trace that
+    /// breaks any of these rules is rejected, never replayed.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed line, naming its number.
     pub fn from_text(text: &str) -> Result<Self, String> {
         let mut trace = Trace::new();
-        // Ids bound by the `M` lines seen so far: valid ids are `0..bound`.
-        let mut bound: u64 = 0;
+        // Sizes of the buffers bound by the `M` lines seen so far: valid ids
+        // are `0..sizes.len()`.
+        let mut sizes: Vec<u64> = Vec::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -249,7 +258,7 @@ impl Trace {
             let mut id = || -> Result<u32, String> {
                 let raw = number(&mut parts).ok_or_else(|| err("id"))?;
                 let id = u32::try_from(raw).map_err(|_| err("id does not fit u32"))?;
-                if raw >= bound {
+                if raw >= sizes.len() as u64 {
                     return Err(err(&format!("id {id} is not bound by an earlier M line")));
                 }
                 Ok(id)
@@ -257,19 +266,22 @@ impl Trace {
             let op = match tag {
                 "M" => {
                     let size = number(&mut parts).ok_or_else(|| err("size"))?;
+                    if size > HEAP_BYTES {
+                        return Err(err(&format!("size exceeds the {HEAP_BYTES}-byte heap")));
+                    }
                     let frames = parts
                         .map(|tok| u64::from_str_radix(tok.strip_prefix("0x").unwrap_or(tok), 16))
                         .collect::<Result<Vec<u64>, _>>()
                         .map_err(|_| err("frame"))?;
-                    bound += 1;
+                    sizes.push(size);
                     TraceOp::Malloc { size, frames }
                 }
                 "F" => TraceOp::Free { id: id()? },
                 "FF" => TraceOp::FreeAgain { id: id()? },
                 "R" | "RF" => {
                     let id = id()?;
-                    let offset = token(&mut parts).ok_or_else(|| err("offset"))?;
-                    let len = token(&mut parts).ok_or_else(|| err("len"))?;
+                    let (offset, len) =
+                        span(&mut parts, sizes[id as usize]).map_err(|e| err(&e))?;
                     if tag == "R" {
                         TraceOp::Read { id, offset, len }
                     } else {
@@ -278,8 +290,8 @@ impl Trace {
                 }
                 "W" | "WF" => {
                     let id = id()?;
-                    let offset = token(&mut parts).ok_or_else(|| err("offset"))?;
-                    let len = token(&mut parts).ok_or_else(|| err("len"))?;
+                    let (offset, len) =
+                        span(&mut parts, sizes[id as usize]).map_err(|e| err(&e))?;
                     let fill = token(&mut parts).ok_or_else(|| err("fill"))?;
                     if tag == "W" {
                         TraceOp::Write {
@@ -419,6 +431,22 @@ fn number(parts: &mut SplitWhitespace<'_>) -> Option<u64> {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
         None => tok.parse().ok(),
     }
+}
+
+/// Parses an access's `offset len` pair, refusing a span that reaches more
+/// than [`MAX_SPAN_OVERRUN`] bytes outside its `size`-byte buffer. The
+/// error says what is wrong, for the caller to put in the line's message.
+fn span(parts: &mut SplitWhitespace<'_>, size: u64) -> Result<(i64, u32), String> {
+    let offset: i64 = token(parts).ok_or("offset")?;
+    let len: u32 = token(parts).ok_or("len")?;
+    let slack = i128::from(MAX_SPAN_OVERRUN);
+    let lo = i128::from(offset);
+    if lo < -slack || lo + i128::from(len) > i128::from(size) + slack {
+        return Err(format!(
+            "span leaves its {size}-byte buffer by more than {MAX_SPAN_OVERRUN} B"
+        ));
+    }
+    Ok((offset, len))
 }
 
 /// Parses the next token of a trace line as a decimal `T`.
@@ -695,6 +723,26 @@ mod tests {
         // A later `M` does not bind retroactively.
         let err = Trace::from_text("M 8\nWF 1 0 8 0\nM 8").unwrap_err();
         assert!(err.starts_with("line 2: "), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_sizes_above_the_heap_and_spans_far_outside_their_buffer() {
+        let b = MAX_SPAN_OVERRUN;
+        for (text, line) in [
+            ("M 18446744073709551615 0x1".to_string(), "line 1: "),
+            ("M 100000000000 0x1".to_string(), "line 1: "),
+            ("M 64 0x1\nR 0 4294967295 8".to_string(), "line 2: "),
+            ("M 64 0x1\nW 0 0 4294967295 7".to_string(), "line 2: "),
+            (format!("M {}", HEAP_BYTES + 1), "line 1: "),
+            (format!("M 64\nF 0\nRF 0 -{} 1", b + 1), "line 3: "),
+            (format!("M 64\nWF 0 {} 8 1", 64 + b - 7), "line 2: "),
+        ] {
+            let err = Trace::from_text(&text).unwrap_err();
+            assert!(err.starts_with(line), "{text:?}: {err}");
+        }
+        // The bounds themselves are inclusive.
+        let edge = format!("M {HEAP_BYTES}\nM 64\nR 1 -{b} 8\nW 1 {} 8 1", 64 + b - 8);
+        assert_eq!(Trace::from_text(&edge).unwrap().len(), 4);
     }
 
     #[test]

@@ -253,3 +253,39 @@ proptest! {
         );
     }
 }
+
+/// Every registered workload's normal and buggy recording, at its default
+/// request count, parses back: the parser's size and span bounds reject
+/// only hostile traces, never a real one.
+#[test]
+fn every_registered_recording_parses() {
+    let workloads = safemem_workloads::all_workloads()
+        .into_iter()
+        .chain(safemem_workloads::extension_workloads())
+        .chain(safemem_workloads::cve_workloads())
+        .chain(safemem_workloads::churn_workloads());
+    for workload in workloads {
+        for input in [InputMode::Normal, InputMode::Buggy] {
+            let mut os = Os::with_defaults(1 << 26);
+            let mut base = NullTool::new();
+            let mut recorder = if workload.records_freed_accesses() {
+                Recorder::with_freed_tracking(&mut base)
+            } else {
+                Recorder::new(&mut base)
+            };
+            let cfg = RunConfig {
+                input,
+                ..RunConfig::default()
+            };
+            workload.run(&mut os, &mut recorder, &cfg);
+            let trace = recorder.into_trace();
+            let parsed = Trace::from_text(&trace.to_text());
+            assert_eq!(
+                parsed.as_ref(),
+                Ok(&trace),
+                "{} {input:?}",
+                workload.spec().name
+            );
+        }
+    }
+}
