@@ -336,8 +336,18 @@ impl TraceCorpus {
 
     /// Parses and validates one corpus file against the key it must serve.
     fn parse(path: &Path, key: &TraceKey, content: &str) -> Result<Trace, CorpusError> {
-        let mut lines = content.lines();
-        let magic = lines.next().unwrap_or_default();
+        // Each header line (without its `\n` or `\r\n`) with the byte offset
+        // just past it, so the body starts exactly where the separator line
+        // really ends — also when it is the file's last line.
+        let mut end = 0;
+        let mut lines = content.split_inclusive('\n').map(|raw| {
+            end += raw.len();
+            let line = raw
+                .strip_suffix('\n')
+                .map_or(raw, |l| l.strip_suffix('\r').unwrap_or(l));
+            (line, end)
+        });
+        let magic = lines.next().map_or("", |(line, _)| line);
         if magic != CORPUS_MAGIC {
             return Err(CorpusError::Version {
                 path: path.to_path_buf(),
@@ -346,12 +356,10 @@ impl TraceCorpus {
         }
         let mut ops: Option<u64> = None;
         let mut checksum: Option<u64> = None;
-        let mut consumed = magic.len() + 1;
         let mut body_start = None;
-        for line in lines {
-            consumed += line.len() + 1;
+        for (line, end) in lines {
             if line == "---" {
-                body_start = Some(consumed);
+                body_start = Some(end);
                 break;
             }
             let (field, value) = line.split_once(' ').ok_or_else(|| CorpusError::Corrupt {
@@ -582,6 +590,27 @@ mod tests {
                 "{msg}"
             );
         }
+    }
+
+    #[test]
+    fn a_separator_on_the_last_line_is_an_error_not_a_panic() {
+        let key = key();
+        let path = Path::new("c/short.trace");
+        for content in [
+            "safemem-trace v1\nchecksum 0\n---",
+            "safemem-trace v1\r\nchecksum 0\r\n---",
+            "safemem-trace v1\r\nchecksum 0\r\n---\r\né",
+        ] {
+            let err = TraceCorpus::parse(path, &key, content).unwrap_err();
+            assert!(err.to_string().contains("checksum mismatch"), "{err}");
+            assert!(err.to_string().contains("c/short.trace"), "{err}");
+        }
+        let empty = format!(
+            "safemem-trace v1\nchecksum {:016x}\n---",
+            corpus_checksum("")
+        );
+        let trace = TraceCorpus::parse(path, &key, &empty).expect("an empty body is a trace");
+        assert_eq!(trace.len(), 0);
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //!
 //! The campaign runs in two phases:
 //!
-//! * **Phase A — shared machine.** The whole fleet runs inside one
-//!   [`Fleet`] simulation: one physical ECC memory and swap device
-//!   time-multiplexed across every process through the pluggable
-//!   [`SlotBackend`](safemem_machine::SlotBackend) boundary. This is the
-//!   architectural half: hundreds of OS instances genuinely share one
-//!   machine, and per-process virtual clocks keep the leak detector's
-//!   lifetime thresholds meaningful.
+//! * **Phase A — the live fleet.** The whole fleet runs as one [`Fleet`]
+//!   simulation: every process boots a full OS and sampled SafeMem stack
+//!   on a machine of its own and serves its requests one scheduler turn
+//!   at a time, with a context switch (cache write-back and flush, booked
+//!   as background time) after every turn. The processes run on a scoped
+//!   worker pool, one process per work item, and the report is the same at
+//!   every worker count.
 //! * **Phase B — per-process campaign cells.** Every process is replayed as
 //!   an isolated campaign cell under the harsh correctable-only fault mix
 //!   ([`replay_safemem_columnar_with`] — SafeMem alone, not the five-tool
@@ -30,11 +30,11 @@
 //!
 //! The phases cross-check each other: a corruption cell detects iff its
 //! victim allocation was sampled, and both phases derive the per-process
-//! sampling seed identically, so shared-machine and isolated-cell detection
-//! must agree process-for-process for the uaf/obo classes (leak detection
-//! also follows the sampling decision, but its idle-time threshold makes
-//! the shared-machine timing part of the outcome, so the A/B check binds
-//! the corruption classes only).
+//! sampling seed identically, so phase-A and isolated-cell detection must
+//! agree process-for-process for the uaf/obo classes (leak detection also
+//! follows the sampling decision, but its idle-time threshold makes the
+//! phase-A timing part of the outcome, so the A/B check binds the
+//! corruption classes only).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -48,7 +48,9 @@ use crate::oracle::{
     replay_safemem_columnar_with, CampaignError, GroundTruth, ToolScore, SAMPLING_STREAM,
 };
 use crate::rng::SmRng;
-use crate::runner::{render_bench_json, run_cells, BenchRun, TraceMode, WorkerReport};
+use crate::runner::{
+    check_requests, render_bench_json, run_cells, BenchRun, TraceMode, WorkerReport,
+};
 use crate::spec::{CampaignSpec, FLEET_REQUESTS, FLEET_WORKLOADS};
 
 /// Default fleet size: big enough that at the 0.2 sampling rate the
@@ -67,8 +69,9 @@ pub const MAX_FLEET_PROCESSES: u64 = 65_536;
 ///
 /// # Errors
 ///
-/// Returns [`CampaignError`] for an empty fleet or one above
-/// [`MAX_FLEET_PROCESSES`].
+/// Returns [`CampaignError`] for an empty fleet, one above
+/// [`MAX_FLEET_PROCESSES`], or a request count above
+/// [`MAX_CAMPAIGN_REQUESTS`](crate::MAX_CAMPAIGN_REQUESTS).
 pub fn expand_fleet(
     processes: u64,
     seed0: u64,
@@ -82,6 +85,7 @@ pub fn expand_fleet(
             "a fleet of {processes} processes exceeds the limit of {MAX_FLEET_PROCESSES}"
         )));
     }
+    check_requests(requests)?;
     let mut specs = Vec::with_capacity(usize::try_from(processes).expect("bounded fleet size"));
     for pid in 0..processes {
         let workload = FLEET_WORKLOADS[usize::try_from(pid % 3).expect("mod 3 fits")];
@@ -115,8 +119,8 @@ pub(crate) fn detects(kind: ChurnKind, truth: &GroundTruth, score: &ToolScore) -
     }
 }
 
-/// Translates fleet campaign cells into the shared-machine simulation's
-/// process specs. The sampling seed is derived exactly as the campaign
+/// Translates fleet campaign cells into the phase-A simulation's process
+/// specs. The sampling seed is derived exactly as the campaign
 /// cell's replay derives it (campaign seed keyed on the dedicated
 /// [`SAMPLING_STREAM`]), so a fleet process and its phase-B cell make
 /// identical per-allocation sampling decisions.
@@ -207,10 +211,10 @@ pub struct FleetAgg {
     pub hardware_panics: u64,
     /// Injected faults (bit flips + bursts) across the fleet.
     pub injected: u64,
-    /// Corruption cells (uaf/obo) compared against the shared-machine run.
+    /// Corruption cells (uaf/obo) compared against the phase-A run.
     pub ab_checked: u64,
-    /// Corruption cells whose isolated detection matched the
-    /// shared-machine detection.
+    /// Corruption cells whose isolated detection matched the phase-A
+    /// detection.
     pub ab_agreed: u64,
 }
 
@@ -236,8 +240,8 @@ impl FleetAgg {
         f64::from(self.rate_ppm) / f64::from(PPM)
     }
 
-    /// Folds one cell's SafeMem score in. `shared_detected` is the
-    /// shared-machine (phase A) detection flag for the same process.
+    /// Folds one cell's SafeMem score in. `shared_detected` is the phase-A
+    /// detection flag for the same process.
     ///
     /// # Errors
     ///
@@ -278,8 +282,8 @@ impl FleetAgg {
 
     /// The fleet acceptance verdict: zero SafeMem false positives, zero
     /// hardware panics, every observed per-class detection count inside the
-    /// 6σ band, and shared-machine/isolated-cell agreement on every
-    /// corruption cell.
+    /// 6σ band, and phase-A/isolated-cell agreement on every corruption
+    /// cell.
     #[must_use]
     pub fn invariants_hold(&self) -> bool {
         self.false_positives == 0
@@ -292,15 +296,15 @@ impl FleetAgg {
     }
 }
 
-/// A completed fleet campaign: the phase-A shared-machine report, the
-/// phase-B fold, and the execution telemetry.
+/// A completed fleet campaign: the phase-A report, the phase-B fold, and
+/// the execution telemetry.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// Fleet size.
     pub processes: u64,
     /// Requests each process served.
     pub requests: u64,
-    /// Phase A: the shared-machine simulation's report.
+    /// Phase A: the live fleet simulation's report.
     pub shared: FleetReport,
     /// Phase B: the per-cell campaign fold.
     pub agg: FleetAgg,
@@ -308,20 +312,19 @@ pub struct FleetOutcome {
     pub workers: Vec<WorkerReport>,
     /// Worker threads actually spawned for phase B.
     pub threads: usize,
-    /// Shards the phase-A fleet was partitioned into.
+    /// Worker threads phase A ran its processes on.
     pub shards: usize,
     /// Wall time for both phases.
     pub wall: Duration,
-    /// Wall time of phase A alone (booting and running the shared-machine
-    /// fleet); `wall - boot_wall` is the sharded record/replay phase.
+    /// Wall time of phase A alone (running every process of the fleet);
+    /// `wall - boot_wall` is the sharded record/replay phase.
     pub boot_wall: Duration,
 }
 
 /// Runs the two-phase fleet campaign over `specs` (from [`expand_fleet`])
-/// with a single-machine (one-shard) phase A — the differential reference
-/// every sharded run is checked against.
+/// with phase A on one worker thread.
 ///
-/// Phase A runs the whole fleet on one shared machine; phase B shards the
+/// Phase A runs every process of the fleet live; phase B shards the
 /// per-process campaign cells across `threads` workers on the matrix
 /// runner's record/replay/fold core, recording each unique trace once under
 /// [`TraceMode::Memoized`] (three traces serve any fleet size) and folding
@@ -340,11 +343,10 @@ pub fn run_fleet(
     run_fleet_corpus(specs, threads, 1, mode, None)
 }
 
-/// [`run_fleet`] with phase A partitioned into `shards` parallel shards,
-/// each owning its own machine sized to its processes' disjoint frame
-/// windows ([`Fleet::run_sharded`]). The merged shared-machine report —
-/// and therefore the whole scorecard — is byte-identical for every shard
-/// count; only the wall clock moves.
+/// [`run_fleet`] with phase A's processes run on `shards` worker threads
+/// ([`Fleet::run_sharded`]). The phase-A report — and therefore the whole
+/// scorecard — is byte-identical for every count; only the wall clock
+/// moves.
 ///
 /// # Errors
 ///
@@ -392,10 +394,9 @@ pub fn run_fleet_corpus(
     }
     let start = Instant::now();
 
-    // Phase A: every process on a shared machine behind the slot backend —
-    // one machine per shard, merged in canonical pid order (one shard IS
-    // the single-machine reference; the merged report is byte-identical at
-    // every shard count thanks to the turn-boundary cache barrier).
+    // Phase A: every process on a machine of its own, `shards` processes
+    // at a time, folded in pid order (the report is the same at every
+    // count).
     let process_specs = fleet_process_specs(specs)?;
     let shared = Fleet::run_sharded(
         &process_specs,
@@ -435,7 +436,7 @@ pub fn run_fleet_corpus(
     })
 }
 
-/// Renders the fleet scorecard: the shared-machine summary, the per-class
+/// Renders the fleet scorecard: the phase-A summary, the per-class
 /// observed-vs-predicted table with 6σ bands, the fleet-level detection
 /// probabilities, the A/B cross-check, and the greppable verdict line.
 /// Byte-stable: every number is a deterministic integer sum or a
@@ -451,8 +452,10 @@ pub fn render_fleet(outcome: &FleetOutcome) -> String {
         "fleet: {} processes x {} requests, sampling rate {:.4}",
         outcome.processes, outcome.requests, rate
     );
-    // Deliberately shard-count-free: the scorecard must be byte-identical
-    // no matter how phase A was partitioned.
+    // Deliberately worker-count-free: the scorecard must be byte-identical
+    // however many threads ran phase A. The "shared-machine" wording
+    // predates per-process machines; the goldens and the benchmark digest
+    // pin these bytes.
     let _ = writeln!(
         out,
         "  phase A (shared-machine fleet): phys={} B machine_cycles={} process_cycles={} page_faults={} swap_in={} swap_out={} ecc_verified={} detections={} FPs={}",
@@ -547,15 +550,15 @@ pub fn render_fleet(outcome: &FleetOutcome) -> String {
     out
 }
 
-/// One fleet run at a given phase-A shard count, for the shard-scaling
+/// One fleet run at a given phase-A worker count, for the shard-scaling
 /// dimension of `BENCH_campaign.json`.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardRun {
-    /// Shards phase A was partitioned into.
+    /// Worker threads phase A ran its processes on.
     pub shards: usize,
     /// Wall time of the whole two-phase campaign.
     pub wall: Duration,
-    /// Wall time of phase A alone (the sharded part).
+    /// Wall time of phase A alone.
     pub boot_wall: Duration,
     /// Campaign cells completed (the fleet size).
     pub campaigns: u64,
@@ -592,7 +595,7 @@ fn write_shard_runs(out: &mut String, shard_runs: &[ShardRun]) {
 
 /// Renders the `BENCH_campaign.json` schema with a `fleet` section appended
 /// to the thread-scaling records: the fleet shape, the phase-A
-/// shard-scaling grid, the shared-machine stats, and one record per class
+/// worker-scaling grid, the phase-A stats, and one record per class
 /// with the observed/predicted detection probabilities of the scorecard.
 #[must_use]
 pub fn render_fleet_bench_json(

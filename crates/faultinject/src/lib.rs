@@ -70,6 +70,7 @@ pub use rng::SmRng;
 pub use runner::{
     campaign_cells, default_threads, expand_matrix, render_bench_json, run_matrix, run_matrix_with,
     BenchRun, MatrixReport, TraceKey, TraceMode, WorkerReport, MAX_CAMPAIGN_CELLS,
+    MAX_CAMPAIGN_REQUESTS,
 };
 pub use scorecard::{render_aggregate, render_campaign, render_worker_table, render_workers};
 pub use spec::{CampaignSpec, FaultMix};

@@ -50,6 +50,7 @@ use std::time::{Duration, Instant};
 
 use safemem_ecc::EccMode;
 use safemem_os::SwapPolicy;
+use safemem_workloads::apps::churn::CHURN_LONG_HORIZON_REQUESTS;
 use safemem_workloads::{workload_by_name, ColumnarReplayer};
 
 use crate::corpus::{obtain_campaign_trace, TraceCorpus};
@@ -73,6 +74,22 @@ pub fn default_threads() -> usize {
 /// asking for an allocation the host cannot make.
 pub const MAX_CAMPAIGN_CELLS: u64 = 100_000;
 
+/// The most requests one campaign cell may serve: ten times the fleet's
+/// long horizon ([`CHURN_LONG_HORIZON_REQUESTS`]). At this bound a Table 1
+/// app's recorded trace peaks at tens of MiB; without one, a mistyped count
+/// grows the trace until the host runs out of memory.
+pub const MAX_CAMPAIGN_REQUESTS: u64 = 10 * CHURN_LONG_HORIZON_REQUESTS;
+
+/// Refuses a request-count override above [`MAX_CAMPAIGN_REQUESTS`].
+pub(crate) fn check_requests(requests: Option<u64>) -> Result<(), CampaignError> {
+    match requests {
+        Some(n) if n > MAX_CAMPAIGN_REQUESTS => Err(CampaignError(format!(
+            "{n} requests exceeds the limit of {MAX_CAMPAIGN_REQUESTS} requests per campaign"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// The cell count of a `seeds` × `workloads` × `rates` matrix, or `None` if
 /// it exceeds [`MAX_CAMPAIGN_CELLS`].
 #[must_use]
@@ -92,7 +109,8 @@ pub fn campaign_cells(seeds: u64, workloads: usize, rates: usize) -> Option<u64>
 ///
 /// Returns [`CampaignError`] for an unknown preset or workload name — the
 /// whole matrix is validated up front so a sweep never dies mid-flight on a
-/// typo — or for a matrix above [`MAX_CAMPAIGN_CELLS`].
+/// typo — or for a matrix above [`MAX_CAMPAIGN_CELLS`] or a request count
+/// above [`MAX_CAMPAIGN_REQUESTS`].
 pub fn expand_matrix(
     preset: &str,
     workloads: &[String],
@@ -111,6 +129,7 @@ pub fn expand_matrix(
             return Err(CampaignError(format!("unknown workload {name:?}")));
         }
     }
+    check_requests(requests)?;
     let cells = campaign_cells(seeds, workloads.len(), 1).ok_or_else(|| {
         CampaignError(format!(
             "{seeds} seeds x {} workloads exceeds the limit of {MAX_CAMPAIGN_CELLS} campaign cells",
@@ -605,6 +624,26 @@ mod tests {
                 err.0.contains(&MAX_CAMPAIGN_CELLS.to_string()),
                 "names the limit: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn expanders_reject_requests_above_the_limit() {
+        let tar = vec!["tar".to_string()];
+        let limit = MAX_CAMPAIGN_REQUESTS.to_string();
+        let at_limit = expand_matrix("harsh", &tar, 1, 0, Some(MAX_CAMPAIGN_REQUESTS))
+            .expect("exactly at the limit");
+        assert_eq!(at_limit[0].requests, Some(MAX_CAMPAIGN_REQUESTS));
+        for requests in [MAX_CAMPAIGN_REQUESTS + 1, 99_999_999_999, u64::MAX] {
+            let errors = [
+                expand_matrix("harsh", &tar, 1, 0, Some(requests)).unwrap_err(),
+                crate::expand_frontier("frontier", &[1_000_000], &tar, 1, 0, Some(requests))
+                    .unwrap_err(),
+                crate::expand_fleet(3, 0, Some(requests)).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(err.0.contains(&limit), "names the limit: {err:?}");
+            }
         }
     }
 

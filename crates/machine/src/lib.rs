@@ -13,16 +13,19 @@
 //! the controller where ECC is verified, and uncorrectable errors surface as
 //! [`EccFault`]s — the raw material the OS layer turns
 //! into SafeMem watchpoint hits.
+//!
+//! There is one memory substrate. Each `safemem-os` instance owns its
+//! `Machine` outright, and a multi-process fleet gives every process (and
+//! every restart generation of it) a machine of its own, sized to its
+//! frame window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod clock;
 pub mod cost;
 pub mod dma;
 
-pub use backend::{MachineBackend, SlotBackend};
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use dma::{DmaEngine, DmaStep, DmaTransfer};

@@ -1,11 +1,8 @@
 //! The simulated operating system layer for the SafeMem reproduction.
 //!
 //! Models the paper's patched Linux kernel (§2.2.2 and §5.1): a single
-//! process with demand-paged virtual memory over a pluggable
-//! [`MachineBackend`] — a simulated [`Machine`] owned outright by default,
-//! or a window onto a machine shared by a whole fleet of processes (see
-//! [`Os::with_backend`]) — plus the three new system calls
-//! SafeMem adds —
+//! process with demand-paged virtual memory over a simulated [`Machine`]
+//! it owns outright, plus the three new system calls SafeMem adds —
 //!
 //! * [`Os::watch_memory`] — arm ECC watchpoints on a cache-line-aligned
 //!   region (pin pages → save originals → bus-lock → flush lines → ECC off →
@@ -18,9 +15,9 @@
 //! page-guard baseline), scrub coordination, CPU-time accounting that
 //! excludes I/O wait (§3), and the swap-aware watch extension the paper
 //! describes as the "better solution" to page swapping.
-//!
-//! [`Machine`]: safemem_machine::Machine
-//! [`MachineBackend`]: safemem_machine::MachineBackend
+//! [`Os::context_switch`] models the scheduler switching away from the
+//! process: the caches are written back and emptied, and the flush counts
+//! as background time, not as process CPU time.
 //!
 //! # Example: a watchpoint end to end
 //!
@@ -62,7 +59,7 @@ pub use vm::{Prot, VirtualMemory, HEAP_BASE, PAGE_BYTES, STATIC_BASE, VA_LIMIT};
 pub use watch::{WatchRegistry, WatchedLine};
 
 use safemem_cache::CacheConfig;
-use safemem_machine::{CostModel, Machine, MachineBackend};
+use safemem_machine::{CostModel, Machine};
 use vm::TranslateOutcome;
 
 /// How watched pages interact with page replacement.
@@ -81,13 +78,8 @@ pub enum SwapPolicy {
 /// Configuration for the simulated OS + machine stack.
 #[derive(Debug, Clone)]
 pub struct OsConfig {
-    /// Physical memory size in bytes (with [`Os::with_backend`], the size
-    /// of this process's frame window).
+    /// Physical memory size in bytes.
     pub phys_bytes: u64,
-    /// Base physical address of this process's frame window. Only
-    /// meaningful with [`Os::with_backend`] over a shared machine; must be
-    /// page-aligned. The default `0` preserves the single-process layout.
-    pub phys_base: u64,
     /// Cache geometry (index 0 = L1).
     pub caches: Vec<CacheConfig>,
     /// Cycle cost calibration.
@@ -108,7 +100,6 @@ impl Default for OsConfig {
     fn default() -> Self {
         OsConfig {
             phys_bytes: 1 << 24,
-            phys_base: 0,
             caches: safemem_cache::default_two_level(),
             cost: CostModel::default(),
             swap_policy: SwapPolicy::PinWatchedPages,
@@ -138,10 +129,9 @@ pub struct OsStats {
     pub scrub_cycles: u64,
 }
 
-/// The simulated OS: machine backend + virtual memory + SafeMem kernel
-/// extensions.
+/// The simulated OS: machine + virtual memory + SafeMem kernel extensions.
 pub struct Os {
-    machine: Box<dyn MachineBackend>,
+    machine: Machine,
     vm: VirtualMemory,
     watch: WatchRegistry,
     handler_registered: bool,
@@ -177,30 +167,9 @@ impl Os {
     /// Panics if the configuration is invalid (zero memory, bad caches).
     #[must_use]
     pub fn new(config: OsConfig) -> Self {
-        let machine = Machine::new(
-            config.phys_base + config.phys_bytes,
-            config.caches.clone(),
-            config.cost.clone(),
-        );
-        Os::with_backend(Box::new(machine), config)
-    }
-
-    /// Builds the OS stack over an externally constructed machine backend.
-    ///
-    /// This is the fleet entry point: every process of a fleet gets its own
-    /// `Os` over a backend window onto one shared machine, with
-    /// `config.phys_base` / `config.phys_bytes` carving out a disjoint frame
-    /// range per process. `config.caches` and `config.cost` are ignored on
-    /// this path — the backend already owns its geometry and calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.phys_base` is not page-aligned.
-    #[must_use]
-    pub fn with_backend(backend: Box<dyn MachineBackend>, config: OsConfig) -> Self {
         Os {
-            machine: backend,
-            vm: VirtualMemory::with_range(config.phys_base, config.phys_bytes),
+            machine: Machine::new(config.phys_bytes, config.caches, config.cost),
+            vm: VirtualMemory::new(config.phys_bytes),
             watch: WatchRegistry::new(),
             handler_registered: false,
             swap_policy: config.swap_policy,
@@ -229,17 +198,17 @@ impl Os {
         })
     }
 
-    /// The underlying machine backend (read access).
+    /// The underlying machine (read access).
     #[must_use]
-    pub fn machine(&self) -> &dyn MachineBackend {
-        &*self.machine
+    pub fn machine(&self) -> &Machine {
+        &self.machine
     }
 
-    /// The underlying machine backend (mutable; for error injection, mode
-    /// configuration, and fleet-scheduler downcasts).
+    /// The underlying machine (mutable; for error injection and mode
+    /// configuration).
     #[must_use]
-    pub fn machine_mut(&mut self) -> &mut dyn MachineBackend {
-        &mut *self.machine
+    pub fn machine_mut(&mut self) -> &mut Machine {
+        &mut self.machine
     }
 
     /// The virtual memory manager (read access).
@@ -282,7 +251,8 @@ impl Os {
     }
 
     /// CPU cycles charged to the monitored process: total time minus I/O
-    /// wait and background (scrub) work, per the paper's §3 definition.
+    /// wait and background work (scrub scans and context-switch flushes),
+    /// per the paper's §3 definition.
     #[must_use]
     pub fn cpu_cycles(&self) -> u64 {
         self.machine
@@ -308,6 +278,17 @@ impl Os {
     /// Models CPU-bound application work.
     pub fn compute(&mut self, cycles: u64) {
         self.machine.compute(cycles);
+    }
+
+    /// Models the scheduler switching away from this process: writes back
+    /// and empties the whole cache hierarchy, so the process's next access
+    /// starts from a cold cache. The flush is done on behalf of whoever
+    /// runs next, so its cycles count in [`Os::total_cycles`] but are
+    /// booked as background time and never reach [`Os::cpu_cycles`].
+    pub fn context_switch(&mut self) {
+        let before = self.machine.clock().cycles();
+        self.machine.flush_all_caches();
+        self.background_cycles += self.machine.clock().cycles() - before;
     }
 
     // ------------------------------------------------------------------
@@ -353,13 +334,13 @@ impl Os {
     /// Performs the hardware scramble sequence on an already-flushed,
     /// resident physical line (paper Figure 2).
     fn arm_line_at(&mut self, phys_line: u64, original: &[u8]) {
-        Self::arm_line_on(&mut *self.machine, phys_line, original);
+        Self::arm_line_on(&mut self.machine, phys_line, original);
     }
 
-    /// [`Os::arm_line_at`] against a borrowed backend, so the scrub cycle
+    /// [`Os::arm_line_at`] against a borrowed machine, so the scrub cycle
     /// can walk the watch registry and the machine side by side without
     /// moving originals in and out of the registry.
-    fn arm_line_on(machine: &mut dyn MachineBackend, phys_line: u64, original: &[u8]) {
+    fn arm_line_on(machine: &mut Machine, phys_line: u64, original: &[u8]) {
         let scheme = machine.scramble();
         let ctl = machine.controller_mut();
         ctl.lock_bus();
@@ -389,13 +370,13 @@ impl Os {
     /// time, the stored codes are restored directly instead of re-encoded —
     /// byte-identical state, no per-group encode.
     fn disarm_line_at(&mut self, phys_line: u64, original: &[u8], codes: Option<[u8; 8]>) {
-        Self::disarm_line_on(&mut *self.machine, phys_line, original, codes);
+        Self::disarm_line_on(&mut self.machine, phys_line, original, codes);
     }
 
-    /// [`Os::disarm_line_at`] against a borrowed backend (see
+    /// [`Os::disarm_line_at`] against a borrowed machine (see
     /// [`Os::arm_line_on`]).
     fn disarm_line_on(
-        machine: &mut dyn MachineBackend,
+        machine: &mut Machine,
         phys_line: u64,
         original: &[u8],
         codes: Option<[u8; 8]>,
@@ -414,7 +395,7 @@ impl Os {
                 access: kind,
             });
         }
-        let outcome = self.vm.translate(&mut *self.machine, vaddr);
+        let outcome = self.vm.translate(&mut self.machine, vaddr);
         self.drain_evictions();
         match outcome {
             Ok((phys, TranslateOutcome::Hit)) => Ok(phys),
@@ -698,7 +679,7 @@ impl Os {
         for i in 0..lines {
             let vline = vaddr + i * ls;
             if self.swap_policy == SwapPolicy::PinWatchedPages {
-                if let Err(e) = self.vm.pin(&mut *self.machine, vline) {
+                if let Err(e) = self.vm.pin(&mut self.machine, vline) {
                     // Roll back the partially armed region: disarm the lines
                     // already scrambled, unpin their pages, drop the region.
                     let (_, armed) = self
@@ -716,7 +697,7 @@ impl Os {
             }
             let (phys, _) = self
                 .vm
-                .translate(&mut *self.machine, vline)
+                .translate(&mut self.machine, vline)
                 .expect("page pinned or just resident");
             self.drain_evictions();
             let phys_line = phys & !(ls - 1);
@@ -782,7 +763,7 @@ impl Os {
                 // already removed from the registry), then restore.
                 let (phys, _) = self
                     .vm
-                    .translate(&mut *self.machine, line.vline)
+                    .translate(&mut self.machine, line.vline)
                     .expect("swap-in for unwatch");
                 self.drain_evictions();
                 let ls = self.line_size();
@@ -870,7 +851,7 @@ impl Os {
         // copies of the saved originals.
         let mut watched_lines = 0u64;
         {
-            let machine = &mut *self.machine;
+            let machine = &mut self.machine;
             for line in self.watch.lines() {
                 watched_lines += 1;
                 if let Some(p) = line.phys_line {
@@ -888,7 +869,7 @@ impl Os {
         self.background_cycles += self.machine.clock().cycles() - before;
         // Re-arm (CPU-charged).
         {
-            let machine = &mut *self.machine;
+            let machine = &mut self.machine;
             for line in self.watch.lines() {
                 if let Some(p) = line.phys_line {
                     Self::arm_line_on(machine, p, &line.original);
@@ -1099,6 +1080,30 @@ mod tests {
         os.io_wait_ns(1_000_000);
         assert_eq!(os.cpu_cycles(), 1000);
         assert!(os.total_cycles() > 1000);
+    }
+
+    #[test]
+    fn context_switch_flushes_as_background_time() {
+        let mut os = os();
+        let mut twin = Machine::with_defaults(1 << 22);
+        os.vwrite(HEAP_BASE, &[0x5A; 256]).unwrap();
+        let phys = os.vm().translate_resident(HEAP_BASE).unwrap();
+        twin.write(phys, &[0x5A; 256]).unwrap();
+        let (cpu, total) = (os.cpu_cycles(), os.total_cycles());
+        os.context_switch();
+
+        let before = twin.clock().cycles();
+        twin.flush_all_caches();
+        let flush = twin.clock().cycles() - before;
+        assert!(flush > 0, "dirty lines are written back");
+        assert_eq!(os.cpu_cycles(), cpu, "the flush is not process CPU time");
+        assert_eq!(os.total_cycles(), total + flush);
+
+        let l1 = |os: &Os| os.machine().hierarchy().level_stats()[0];
+        let before = l1(&os);
+        os.vread(HEAP_BASE, &mut [0u8; 8]).unwrap();
+        assert_eq!(l1(&os).misses, before.misses + 1, "the cache starts cold");
+        assert_eq!(l1(&os).hits, before.hits);
     }
 
     #[test]

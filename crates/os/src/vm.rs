@@ -7,7 +7,7 @@
 
 use crate::error::{AccessKind, OsError};
 use safemem_hashfx::FxHashMap;
-use safemem_machine::MachineBackend;
+use safemem_machine::Machine;
 
 /// Page size in bytes.
 pub const PAGE_BYTES: u64 = 4096;
@@ -109,12 +109,8 @@ pub enum TranslateOutcome {
 
 /// The per-process virtual memory manager.
 ///
-/// All methods that move data take the machine backend explicitly: the VM
-/// layer owns mappings and policy, the [`MachineBackend`] owns bytes and
-/// time. A VM may manage a *sub-range* of physical memory (see
-/// [`VirtualMemory::with_range`]) so many processes can share one machine
-/// with disjoint frame windows — no address translation is needed at the
-/// backend layer.
+/// All methods that move data take the machine explicitly: the VM layer
+/// owns mappings and policy, the [`Machine`] owns bytes and time.
 #[derive(Debug)]
 pub struct VirtualMemory {
     pages: FxHashMap<u64, PageEntry>,
@@ -136,31 +132,11 @@ impl VirtualMemory {
     /// Creates a VM over a machine with `phys_bytes` of physical memory.
     #[must_use]
     pub fn new(phys_bytes: u64) -> Self {
-        Self::with_range(0, phys_bytes)
-    }
-
-    /// Creates a VM over the physical window `[phys_base, phys_base +
-    /// phys_bytes)` of a (possibly larger, possibly shared) machine. Frames
-    /// are handed out from within the window only, so several processes with
-    /// disjoint windows can share one machine without interfering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `phys_base` is not page-aligned.
-    #[must_use]
-    pub fn with_range(phys_base: u64, phys_bytes: u64) -> Self {
-        assert!(
-            phys_base.is_multiple_of(PAGE_BYTES),
-            "phys_base {phys_base:#x} must be page-aligned"
-        );
         let frames = phys_bytes / PAGE_BYTES;
         VirtualMemory {
             pages: FxHashMap::default(),
             // Reverse order so low frames are handed out first.
-            free_frames: (0..frames)
-                .rev()
-                .map(|f| phys_base + f * PAGE_BYTES)
-                .collect(),
+            free_frames: (0..frames).rev().map(|f| f * PAGE_BYTES).collect(),
             swap: FxHashMap::default(),
             // Default cap: three quarters of physical memory may be pinned.
             max_pinned: (frames * 3 / 4).max(1),
@@ -222,7 +198,7 @@ impl VirtualMemory {
     ///
     /// Returns [`OsError::OutOfMemory`] if the page cannot be made resident
     /// or the pinned-page cap (the `RLIMIT_MEMLOCK` analogue) is reached.
-    pub fn pin(&mut self, machine: &mut dyn MachineBackend, vaddr: u64) -> Result<(), OsError> {
+    pub fn pin(&mut self, machine: &mut Machine, vaddr: u64) -> Result<(), OsError> {
         let newly_pinned = !self.is_pinned(vaddr);
         if newly_pinned && self.stats().pinned_pages >= self.max_pinned {
             return Err(OsError::OutOfMemory);
@@ -274,7 +250,7 @@ impl VirtualMemory {
 
     /// Evicts the least-recently-used unpinned resident page, writing its
     /// contents to swap. Returns the freed frame.
-    fn evict_one(&mut self, machine: &mut dyn MachineBackend) -> Result<u64, OsError> {
+    fn evict_one(&mut self, machine: &mut Machine) -> Result<u64, OsError> {
         let victim_vpn = self
             .pages
             .iter()
@@ -304,7 +280,7 @@ impl VirtualMemory {
     /// [`OsError::OutOfMemory`] when no frame can be freed.
     pub fn translate(
         &mut self,
-        machine: &mut dyn MachineBackend,
+        machine: &mut Machine,
         vaddr: u64,
     ) -> Result<(u64, TranslateOutcome), OsError> {
         if vaddr >= VA_LIMIT {

@@ -308,3 +308,31 @@ proptest! {
         prop_assert_eq!(observe(&mut batched), observe(&mut oracle), "after the follow-up");
     }
 }
+
+/// A fixed case of the property above, checked on every run: scrubs due
+/// every 700 cycles, prefetching, swap-aware paging in four pages, and a
+/// two-line watched region whose 16 words fault.
+#[test]
+fn read_words_matches_a_read_u64_loop_on_a_fixed_stack() {
+    let stack = ScanStack {
+        scrub_interval: Some(700),
+        prefetch: true,
+        swap_aware: true,
+    };
+    let contents: Vec<u8> = (0..SCAN_REGION)
+        .map(|i| if i % 24 == 0 { (i / 24) as u8 } else { 0 })
+        .collect();
+    let mut batched = scan_os(stack, &contents, Some((3, 2)), None);
+    let mut oracle = scan_os(stack, &contents, Some((3, 2)), None);
+    let start = HEAP_BASE + 40;
+    let mut got = vec![None; 2_000];
+    batched.read_words(start, &mut got);
+    let want: Vec<Option<u64>> = (0..2_000u64)
+        .map(|i| oracle.read_u64(start + 8 * i).ok())
+        .collect();
+    assert_eq!(got.iter().filter(|w| w.is_none()).count(), 16);
+    assert_eq!(got, want);
+    follow_up(&mut batched);
+    follow_up(&mut oracle);
+    assert_eq!(observe(&mut batched), observe(&mut oracle));
+}

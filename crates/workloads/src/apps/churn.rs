@@ -15,9 +15,9 @@
 //! | `churn-obo`  | one-byte write at `victim[len]`            | overflow |
 //!
 //! Unlike the Table 1 and CVE families, the request loop is exposed as a
-//! steppable [`ChurnSim`] so the fleet scheduler can interleave *turns* of
-//! many processes over one shared machine while `Workload::run` remains the
-//! single-process reference (and the trace-recording path). The step
+//! steppable [`ChurnSim`] so the fleet can serve one request per scheduler
+//! turn, with a context switch between turns, while `Workload::run` remains
+//! the single-process reference (and the trace-recording path). The step
 //! function is a pure function of `(kind, request, buggy)` — it never draws
 //! from `Ctx::rand` — so a fleet turn sequence and a solo run issue
 //! byte-identical op streams.

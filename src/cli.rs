@@ -296,19 +296,19 @@ pub fn campaign_usage() -> String {
          \x20                     frontier sweeps a ladder of sampling rates over the\n\
          \x20                     same recorded traces and scores detection probability\n\
          \x20                     against simulated overhead, per rate and bug class;\n\
-         \x20                     fleet runs a multi-process churn fleet on one shared\n\
-         \x20                     machine at a sub-1.0 sampling rate and scores the\n\
-         \x20                     fleet-level detection probability 1-(1-r)^n\n\
+         \x20                     fleet runs a multi-process churn fleet, one machine\n\
+         \x20                     per process, at a sub-1.0 sampling rate and scores\n\
+         \x20                     the fleet-level detection probability 1-(1-r)^n\n\
          \x20 --processes <n>     fleet size, 1 to {max_procs} (default {fleet_procs};\n\
          \x20                     requires --preset fleet, which sizes by processes\n\
          \x20                     instead of --seeds)\n\
-         \x20 --fleet-shards <n>  partition the shared-machine fleet (phase A) into n\n\
-         \x20                     parallel shards, each owning its own machine sized to\n\
-         \x20                     its processes' frame windows (default 1, at least 1;\n\
-         \x20                     requires --preset fleet; the merged scorecard is\n\
-         \x20                     byte-identical for every shard count)\n\
-         \x20 --bench-shards <a,b> run the fleet once per shard count, cross-check the\n\
-         \x20                     scorecards are identical, and report the phase-A speedup\n\
+         \x20 --fleet-shards <n>  worker threads running the fleet's processes in\n\
+         \x20                     phase A, one whole process per work item (default 1,\n\
+         \x20                     at least 1; requires --preset fleet; the scorecard is\n\
+         \x20                     byte-identical for every count)\n\
+         \x20 --bench-shards <a,b> run the fleet once per phase-A worker count, cross-\n\
+         \x20                     check the scorecards are identical, and report the\n\
+         \x20                     phase-A speedup\n\
          \x20 --fleet-sweep       grid sampling rate x fleet size over shared recorded\n\
          \x20                     traces and report the knee of observed fleet-level\n\
          \x20                     detection (requires --preset fleet)\n\
@@ -322,7 +322,7 @@ pub fn campaign_usage() -> String {
          \x20 --sampling <a,b>    comma-separated sampling rates in [0, 1] for the\n\
          \x20                     frontier ladder (default {frontier_rates}; requires\n\
          \x20                     --preset frontier)\n\
-         \x20 --requests <n>      request count override\n\
+         \x20 --requests <n>      request count override, at most {max_requests}\n\
          \x20 --threads <n>       worker threads sharding the campaign matrix\n\
          \x20                     (default: available parallelism; the scorecard is\n\
          \x20                     byte-identical for every thread count)\n\
@@ -346,6 +346,7 @@ pub fn campaign_usage() -> String {
         fleet_procs = crate::faultinject::DEFAULT_FLEET_PROCESSES,
         max_procs = crate::faultinject::MAX_FLEET_PROCESSES,
         max_cells = crate::faultinject::MAX_CAMPAIGN_CELLS,
+        max_requests = crate::faultinject::MAX_CAMPAIGN_REQUESTS,
         workloads = crate::faultinject::spec::PRESET_WORKLOADS.join(","),
         arena_workloads = crate::faultinject::spec::CVE_WORKLOADS.join(","),
         frontier_rates = crate::faultinject::FRONTIER_RATES_PPM
@@ -375,13 +376,12 @@ pub struct CampaignCli {
     ///
     /// [`DEFAULT_FLEET_PROCESSES`]: crate::faultinject::DEFAULT_FLEET_PROCESSES
     pub processes: Option<u64>,
-    /// Shards the shared-machine fleet (phase A) is partitioned into
-    /// (None = 1, the single-machine reference). Only meaningful with the
-    /// `fleet` preset; the merged scorecard is byte-identical for every
-    /// shard count.
+    /// Worker threads running the fleet's processes in phase A (None =
+    /// 1). Only meaningful with the `fleet` preset; the scorecard is
+    /// byte-identical for every count.
     pub fleet_shards: Option<usize>,
-    /// Shard counts to measure the same fleet at (empty = run once at
-    /// `fleet_shards`). Every run's scorecard is cross-checked
+    /// Phase-A worker counts to measure the same fleet at (empty = run
+    /// once at `fleet_shards`). Every run's scorecard is cross-checked
     /// byte-identical; only the wall clock may differ.
     pub bench_shards: Vec<usize>,
     /// Run the sampling-rate × fleet-size sweep after the fleet campaign
@@ -465,11 +465,16 @@ impl CampaignCli {
                         .collect();
                 }
                 "--requests" => {
-                    cli.requests = Some(
-                        value("--requests")?
-                            .parse()
-                            .map_err(|_| CliError("--requests needs an integer".into()))?,
-                    );
+                    let n: u64 = value("--requests")?
+                        .parse()
+                        .map_err(|_| CliError("--requests needs an integer".into()))?;
+                    let max = crate::faultinject::MAX_CAMPAIGN_REQUESTS;
+                    if n > max {
+                        return Err(CliError(format!(
+                            "--requests {n} exceeds the limit of {max} requests per campaign"
+                        )));
+                    }
+                    cli.requests = Some(n);
                 }
                 "--processes" => {
                     let n: u64 = value("--processes")?
@@ -495,8 +500,8 @@ impl CampaignCli {
                         .map_err(|_| CliError("--fleet-shards needs an integer".into()))?;
                     if n == 0 {
                         return Err(CliError(
-                            "--fleet-shards must be at least 1 (got 0); 1 is the \
-                             single-machine reference"
+                            "--fleet-shards must be at least 1 (got 0); it is the \
+                             number of phase-A worker threads"
                                 .into(),
                         ));
                     }
@@ -832,8 +837,8 @@ impl CampaignCli {
         Ok((report, failed))
     }
 
-    /// The `fleet` preset: a two-phase multi-process campaign (sharded
-    /// shared-machine fleet, then sharded per-process cells) with its own
+    /// The `fleet` preset: a two-phase multi-process campaign (the live
+    /// fleet on a worker pool, then sharded per-process cells) with its own
     /// scorecard, optional shard-scaling measurements, and the optional
     /// rate × fleet-size sweep.
     fn execute_fleet(&self) -> Result<(String, Vec<&'static str>), CliError> {
@@ -862,7 +867,7 @@ impl CampaignCli {
         let corpus = self.open_corpus()?;
 
         // Thread-scaling runs (phase B workers) at the configured phase-A
-        // shard count.
+        // worker count.
         let mut runs = Vec::with_capacity(thread_counts.len());
         let mut first: Option<(FleetOutcome, String)> = None;
         for &t in &thread_counts {
@@ -890,9 +895,9 @@ impl CampaignCli {
         }
         let (outcome, card) = first.expect("at least one thread count runs");
 
-        // Shard-scaling runs (phase A partitioning): same fleet, same
-        // scorecard, different machine count — only the wall clock may
-        // move, and the cross-check enforces exactly that.
+        // Shard-scaling runs (phase-A worker counts): same fleet, same
+        // scorecard — only the wall clock may move, and the cross-check
+        // enforces exactly that.
         let mut shard_runs: Vec<ShardRun> = Vec::with_capacity(self.bench_shards.len());
         for &s in &self.bench_shards {
             let shard_outcome =
@@ -1306,12 +1311,31 @@ mod tests {
     }
 
     #[test]
+    fn campaign_cli_rejects_requests_above_the_limit() {
+        use crate::faultinject::MAX_CAMPAIGN_REQUESTS;
+        let limit = MAX_CAMPAIGN_REQUESTS.to_string();
+        let cli = parse_campaign(&["--requests", &limit]).unwrap();
+        assert_eq!(cli.requests, Some(MAX_CAMPAIGN_REQUESTS));
+        for preset in ["harsh", "arena", "frontier", "fleet"] {
+            for n in ["100001", "99999999999", "18446744073709551615"] {
+                let err = parse_campaign(&["--preset", preset, "--requests", n]).unwrap_err();
+                assert!(
+                    err.0.contains("--requests") && err.0.contains(&limit),
+                    "{preset}: names the flag and the limit: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn campaign_usage_lists_the_limits() {
         let usage = campaign_usage();
         let max_cells = crate::faultinject::MAX_CAMPAIGN_CELLS.to_string();
         let max_procs = crate::faultinject::MAX_FLEET_PROCESSES.to_string();
+        let max_requests = crate::faultinject::MAX_CAMPAIGN_REQUESTS.to_string();
         assert!(usage.contains(&max_cells), "{usage}");
         assert!(usage.contains(&max_procs), "{usage}");
+        assert!(usage.contains(&max_requests), "{usage}");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 use proptest::prelude::*;
 use safemem::cli::{campaign_usage, CampaignCli};
 use safemem::faultinject::{
-    campaign_cells, DEFAULT_FLEET_PROCESSES, MAX_CAMPAIGN_CELLS, MAX_FLEET_PROCESSES,
+    campaign_cells, DEFAULT_FLEET_PROCESSES, MAX_CAMPAIGN_CELLS, MAX_CAMPAIGN_REQUESTS,
+    MAX_FLEET_PROCESSES,
 };
 use std::process::Command;
 
@@ -26,6 +27,7 @@ fn campaign(args: &[&str]) -> (i32, String, String) {
 fn oversized_counts_are_refused_before_anything_is_allocated() {
     let cells = MAX_CAMPAIGN_CELLS.to_string();
     let procs = MAX_FLEET_PROCESSES.to_string();
+    let requests = MAX_CAMPAIGN_REQUESTS.to_string();
     for (args, flag, limit) in [
         (&["--seeds", "9999999999999"][..], "--seeds", &cells),
         (
@@ -42,6 +44,18 @@ fn oversized_counts_are_refused_before_anything_is_allocated() {
             &["--preset", "fleet", "--processes", "99999999999"],
             "--processes",
             &procs,
+        ),
+        (
+            &[
+                "--requests",
+                "99999999999",
+                "--seeds",
+                "1",
+                "--workloads",
+                "gzip",
+            ],
+            "--requests",
+            &requests,
         ),
     ] {
         let (code, stdout, stderr) = campaign(args);
@@ -193,17 +207,19 @@ fn argv() -> impl Strategy<Value = Vec<String>> {
         maybe("--seeds", COUNTS),
         maybe("--workloads", WORKLOADS),
         maybe("--sampling", RATES),
-        maybe("--processes", COUNTS),
+        (maybe("--processes", COUNTS), maybe("--requests", COUNTS)),
         proptest::collection::vec(noise(), 0..5),
     )
-        .prop_map(|(preset, seeds, workloads, sampling, processes, noise)| {
-            let mut argv = Vec::new();
-            for part in [preset, seeds, workloads, sampling, processes] {
-                argv.extend(part);
-            }
-            argv.extend(noise.into_iter().flatten());
-            argv
-        })
+        .prop_map(
+            |(preset, seeds, workloads, sampling, (processes, requests), noise)| {
+                let mut argv = Vec::new();
+                for part in [preset, seeds, workloads, sampling, processes, requests] {
+                    argv.extend(part);
+                }
+                argv.extend(noise.into_iter().flatten());
+                argv
+            },
+        )
 }
 
 proptest! {
@@ -211,7 +227,8 @@ proptest! {
 
     /// `CampaignCli::parse` never panics on argv built from the flag
     /// vocabulary with extreme values; every error names a flag; and every
-    /// accepted command line is within the cell and process limits.
+    /// accepted command line is within the cell, process and request
+    /// limits.
     #[test]
     fn prop_campaign_cli_parse_is_total_and_bounded(argv in argv()) {
         match CampaignCli::parse(argv.clone()) {
@@ -226,6 +243,10 @@ proptest! {
             }
             Ok(cli) => {
                 prop_assert!(cli.seeds >= 1, "{:?}", argv);
+                prop_assert!(
+                    cli.requests.is_none_or(|n| n <= MAX_CAMPAIGN_REQUESTS),
+                    "{:?}: {:?} requests", argv, cli.requests
+                );
                 if cli.preset == "fleet" {
                     let processes = cli.processes.unwrap_or(DEFAULT_FLEET_PROCESSES);
                     prop_assert!(
