@@ -2,10 +2,11 @@
 //! bulk (frame-at-a-time) controller read/write streams, the cached-plan
 //! scrubber, and the cache hierarchy in front of them, timed through
 //! `Machine` (an L1 hit, a full miss that writes back a dirty L2 victim,
-//! and a fleet turn's working set followed by a full flush). These are the
-//! layers every simulated byte funnels through, so regressions here show
-//! up directly as campaign throughput (see `BENCH_campaign.json` at the
-//! repository root).
+//! and a fleet turn's working set followed by a full flush), and the
+//! `WatchMemory`/`DisableWatchMemory` syscalls and scrub cycle SafeMem runs
+//! on nearly every allocation and free. These are the layers every
+//! simulated byte funnels through, so regressions here show up directly as
+//! campaign throughput (see `BENCH_campaign.json` at the repository root).
 //!
 //! Set `ECC_BENCH_JSON=<path>` to also emit the results as a JSON record —
 //! CI uploads it alongside the campaign bench artifact.
@@ -14,6 +15,7 @@ use criterion::{black_box, Criterion};
 use safemem_cache::default_two_level;
 use safemem_ecc::{Codec, EccController, EccMode, ScrambleScheme};
 use safemem_machine::Machine;
+use safemem_os::{Os, HEAP_BASE, PAGE_BYTES};
 use std::time::{Duration, Instant};
 
 fn bench_codec(c: &mut Criterion) {
@@ -146,12 +148,66 @@ fn bench_cache(c: &mut Criterion) {
     });
 }
 
+fn bench_watch(c: &mut Criterion) {
+    let mut os = Os::with_defaults(1 << 22);
+    os.register_ecc_fault_handler();
+    os.vwrite(HEAP_BASE, &[0x3C; 4 * PAGE_BYTES as usize])
+        .expect("unwatched memory");
+
+    // A guard pad: SafeMem watches one line on each side of every buffer.
+    let pad = HEAP_BASE + 0x140;
+    c.bench_function("watch/pad_watch_disable", |b| {
+        b.iter(|| {
+            os.watch_memory(black_box(pad), 64).expect("free line");
+            os.disable_watch_memory(black_box(pad)).expect("watched");
+        })
+    });
+
+    // A freed 4 KiB buffer straddling a page boundary, watched until reuse.
+    // An untimed store before each run leaves a few of its lines dirty in
+    // cache, as the program's last writes to the buffer would.
+    let freed = HEAP_BASE + PAGE_BYTES + 0x800;
+    c.bench_function("watch/freed_4k_watch_disable", |b| {
+        b.iter_custom(|iters| {
+            let mut elapsed = Duration::ZERO;
+            for _ in 0..iters {
+                os.vwrite(freed + 0x7c0, &[0xA5; 256])
+                    .expect("unwatched memory");
+                let start = Instant::now();
+                os.watch_memory(black_box(freed), PAGE_BYTES)
+                    .expect("free lines");
+                os.disable_watch_memory(black_box(freed)).expect("watched");
+                elapsed += start.elapsed();
+            }
+            elapsed
+        })
+    });
+
+    // A scrub pass coordinated around 16 watched 4-line regions: every
+    // watched line is disarmed before the scan and re-armed after it.
+    let mut os = Os::with_defaults(1 << 22);
+    os.register_ecc_fault_handler();
+    os.machine_mut()
+        .controller_mut()
+        .set_mode(EccMode::CorrectAndScrub);
+    os.vwrite(HEAP_BASE, &[0x3C; 4 * PAGE_BYTES as usize])
+        .expect("unwatched memory");
+    for region in 0..16 {
+        os.watch_memory(HEAP_BASE + region * 1024, 256)
+            .expect("free lines");
+    }
+    c.bench_function("watch/scrub_cycle_64_lines", |b| {
+        b.iter(|| os.run_scrub_cycle())
+    });
+}
+
 fn main() {
     let mut criterion = Criterion::default();
     bench_codec(&mut criterion);
     bench_streaming(&mut criterion);
     bench_scrub(&mut criterion);
     bench_cache(&mut criterion);
+    bench_watch(&mut criterion);
     if let Ok(path) = std::env::var("ECC_BENCH_JSON") {
         criterion
             .write_json("safemem-ecc-fastpath", &path)

@@ -5,8 +5,8 @@
 //! it owns outright, plus the three new system calls SafeMem adds —
 //!
 //! * [`Os::watch_memory`] — arm ECC watchpoints on a cache-line-aligned
-//!   region (pin pages → save originals → bus-lock → flush lines → ECC off →
-//!   scramble → ECC on);
+//!   region, a page segment at a time (pin the page → flush the lines →
+//!   save originals and codes → bus-lock → ECC off → scramble → ECC on);
 //! * [`Os::disable_watch_memory`] — restore the original data and unpin;
 //! * [`Os::register_ecc_fault_handler`] — route watched-line ECC faults to
 //!   the user level instead of panicking.
@@ -56,7 +56,7 @@ pub mod watch;
 pub use error::{AccessKind, OsError, OsFault, UserEccFault};
 pub use klog::{KernelEvent, KernelLog, LogEntry};
 pub use vm::{Prot, VirtualMemory, HEAP_BASE, PAGE_BYTES, STATIC_BASE, VA_LIMIT};
-pub use watch::{WatchRegistry, WatchedLine};
+pub use watch::{ArmedLine, Region, WatchRegistry};
 
 use safemem_cache::CacheConfig;
 use safemem_machine::{CostModel, Machine};
@@ -143,10 +143,9 @@ pub struct Os {
     io_wait_cycles: u64,
     background_cycles: u64,
     stats: OsStats,
-    /// Recycled `original`-data buffers for watched lines: arming a line
-    /// pops one, disarming pushes it back, so steady-state watch churn
-    /// allocates nothing.
-    line_pool: Vec<Vec<u8>>,
+    /// Scratch for the scrambled bytes of the segment being armed (at most
+    /// a page), kept so arming allocates nothing.
+    scramble_buf: Vec<u8>,
 }
 
 impl std::fmt::Debug for Os {
@@ -167,17 +166,18 @@ impl Os {
     /// Panics if the configuration is invalid (zero memory, bad caches).
     #[must_use]
     pub fn new(config: OsConfig) -> Self {
+        let machine = Machine::new(config.phys_bytes, config.caches, config.cost);
         Os {
-            machine: Machine::new(config.phys_bytes, config.caches, config.cost),
+            watch: WatchRegistry::new(machine.line_size()),
+            machine,
             vm: VirtualMemory::new(config.phys_bytes),
-            watch: WatchRegistry::new(),
             handler_registered: false,
             swap_policy: config.swap_policy,
             swap_io_ns: config.swap_io_ns,
             scrub_interval: config.scrub_interval_cycles,
             last_scrub: 0,
             klog: KernelLog::default(),
-            line_pool: Vec::new(),
+            scramble_buf: Vec::new(),
             io_wait_cycles: 0,
             background_cycles: 0,
             stats: OsStats::default(),
@@ -301,89 +301,61 @@ impl Os {
         let now = self.machine.clock().cycles();
         for vpn in self.vm.take_evictions() {
             self.klog.push(now, KernelEvent::SwapOut { vpn });
-            for vline in self.watch.vlines_in_page(vpn, PAGE_BYTES) {
-                self.watch.set_line_phys(vline, None);
-            }
+            self.watch
+                .for_each_line_in_page(vpn, |_, line, _| line.phys = None);
         }
     }
 
     /// Re-arms watched lines of a page that just became resident
     /// (swap-aware policy only).
     fn rearm_page(&mut self, vpn: u64) {
-        let vlines = self.watch.vlines_in_page(vpn, PAGE_BYTES);
-        for vline in vlines {
-            let line = self.watch.line_by_vaddr(vline).expect("line registered");
-            if line.phys_line.is_some() {
-                continue; // still armed at a valid location
-            }
-            let original = line.original.clone();
-            let codes = line.codes;
-            let phys = self
-                .vm
-                .translate_resident(vline)
-                .expect("page just became resident");
-            // The swapped-in copy holds the scrambled bytes under freshly
-            // consistent codes; restore the original first (ECC on) so the
-            // scramble recreates the stale-code mismatch.
-            self.disarm_line_at(phys, &original, codes);
-            self.arm_line_at(phys, &original);
-            self.watch.set_line_phys(vline, Some(phys));
-        }
+        let (vm, machine, scratch) = (&self.vm, &mut self.machine, &mut self.scramble_buf);
+        self.watch
+            .for_each_line_in_page(vpn, |vline, line, original| {
+                if line.phys.is_some() {
+                    return; // still armed at a valid location
+                }
+                let phys = vm
+                    .translate_resident(vline)
+                    .expect("page just became resident");
+                // The swapped-in copy holds the scrambled bytes under freshly
+                // consistent codes; restore the original first (ECC on) so
+                // the scramble recreates the stale-code mismatch.
+                Self::disarm_line_on(machine, phys, original, line.codes);
+                Self::arm_on(machine, phys, original, scratch);
+                line.phys = Some(phys);
+            });
     }
 
-    /// Performs the hardware scramble sequence on an already-flushed,
-    /// resident physical line (paper Figure 2).
-    fn arm_line_at(&mut self, phys_line: u64, original: &[u8]) {
-        Self::arm_line_on(&mut self.machine, phys_line, original);
-    }
-
-    /// [`Os::arm_line_at`] against a borrowed machine, so the scrub cycle
-    /// can walk the watch registry and the machine side by side without
-    /// moving originals in and out of the registry.
-    fn arm_line_on(machine: &mut Machine, phys_line: u64, original: &[u8]) {
+    /// Performs the hardware scramble sequence on already-flushed, resident
+    /// physical lines from `phys` (paper Figure 2): bus lock → ECC off → one
+    /// write of the scrambled `original` → ECC on → unlock. `scratch` holds
+    /// the scrambled bytes, so arming allocates nothing once it has grown.
+    fn arm_on(machine: &mut Machine, phys: u64, original: &[u8], scratch: &mut Vec<u8>) {
         let scheme = machine.scramble();
+        scratch.clear();
+        scratch.extend_from_slice(original);
+        for chunk in scratch.chunks_exact_mut(8) {
+            let word = u64::from_le_bytes((*chunk).try_into().expect("8-byte chunk"));
+            chunk.copy_from_slice(&scheme.apply(word).to_le_bytes());
+        }
         let ctl = machine.controller_mut();
         ctl.lock_bus();
         ctl.set_enabled(false);
-        // Scramble into a stack buffer for ordinary line sizes; the heap
-        // fallback only fires for exotic configurations with lines > 64 B.
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let scrambled: &mut [u8] = if original.len() <= stack.len() {
-            &mut stack[..original.len()]
-        } else {
-            heap.resize(original.len(), 0u8);
-            &mut heap
-        };
-        for (i, chunk) in original.chunks_exact(8).enumerate() {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            scrambled[i * 8..(i + 1) * 8].copy_from_slice(&scheme.apply(word).to_le_bytes());
-        }
-        machine.write_uncached(phys_line, scrambled);
+        machine.write_uncached(phys, scratch);
         let ctl = machine.controller_mut();
         ctl.set_enabled(true);
         ctl.unlock_bus();
     }
 
     /// Restores the original data of a line (ECC enabled, so codes become
-    /// consistent again). When the line's codes were precomputed at arm
-    /// time, the stored codes are restored directly instead of re-encoded —
-    /// byte-identical state, no per-group encode.
-    fn disarm_line_at(&mut self, phys_line: u64, original: &[u8], codes: Option<[u8; 8]>) {
-        Self::disarm_line_on(&mut self.machine, phys_line, original, codes);
-    }
-
-    /// [`Os::disarm_line_at`] against a borrowed machine (see
-    /// [`Os::arm_line_on`]).
-    fn disarm_line_on(
-        machine: &mut Machine,
-        phys_line: u64,
-        original: &[u8],
-        codes: Option<[u8; 8]>,
-    ) {
-        match (codes, <&[u8; 64]>::try_from(original)) {
-            (Some(c), Ok(data)) => machine.write_uncached_precoded(phys_line, data, &c),
-            _ => machine.write_uncached(phys_line, original),
+    /// consistent again). A 64-byte line restores the codes precomputed at
+    /// arm time instead of re-encoding — byte-identical state, no per-group
+    /// encode; other line sizes re-encode.
+    fn disarm_line_on(machine: &mut Machine, phys_line: u64, original: &[u8], codes: [u8; 8]) {
+        match <&[u8; 64]>::try_from(original) {
+            Ok(data) => machine.write_uncached_precoded(phys_line, data, &codes),
+            Err(_) => machine.write_uncached(phys_line, original),
         }
     }
 
@@ -395,31 +367,8 @@ impl Os {
                 access: kind,
             });
         }
-        let outcome = self.vm.translate(&mut self.machine, vaddr);
-        self.drain_evictions();
-        match outcome {
-            Ok((phys, TranslateOutcome::Hit)) => Ok(phys),
-            Ok((phys, TranslateOutcome::ZeroFill)) => {
-                let cycles = self.machine.cost().page_fault_cycles;
-                self.machine.compute(cycles);
-                Ok(phys)
-            }
-            Ok((phys, TranslateOutcome::SwapIn)) => {
-                let now = self.machine.clock().cycles();
-                self.klog.push(
-                    now,
-                    KernelEvent::SwapIn {
-                        vpn: vaddr / PAGE_BYTES,
-                    },
-                );
-                let cycles = self.machine.cost().page_fault_cycles;
-                self.machine.compute(cycles);
-                self.io_wait_ns(self.swap_io_ns);
-                if self.swap_policy == SwapPolicy::SwapAware {
-                    self.rearm_page(vaddr / PAGE_BYTES);
-                }
-                Ok(phys)
-            }
+        match self.translate_page(vaddr, true) {
+            Ok(phys) => Ok(phys),
             Err(OsError::OutOfRange { .. }) => {
                 self.stats.segv_delivered += 1;
                 Err(OsFault::Segv {
@@ -431,12 +380,49 @@ impl Os {
         }
     }
 
+    /// Translates `vaddr` for the process (`charged`) or for the kernel
+    /// itself, retires the placements of watched lines on pages evicted to
+    /// make room, and, under the swap-aware policy, re-arms the watched
+    /// lines of a page brought back from swap. A process access also pays
+    /// for its page fault (and logs a swap-in and waits for the disk); the
+    /// kernel's own translations only re-arm.
+    fn translate_page(&mut self, vaddr: u64, charged: bool) -> Result<u64, OsError> {
+        let outcome = self.vm.translate(&mut self.machine, vaddr);
+        self.drain_evictions();
+        let (phys, outcome) = outcome?;
+        let swap_in = outcome == TranslateOutcome::SwapIn;
+        if charged && outcome != TranslateOutcome::Hit {
+            if swap_in {
+                self.klog.push(
+                    self.machine.clock().cycles(),
+                    KernelEvent::SwapIn {
+                        vpn: vaddr / PAGE_BYTES,
+                    },
+                );
+            }
+            let cycles = self.machine.cost().page_fault_cycles;
+            self.machine.compute(cycles);
+            if swap_in {
+                self.io_wait_ns(self.swap_io_ns);
+            }
+        }
+        if swap_in && self.swap_policy == SwapPolicy::SwapAware {
+            self.rearm_page(vaddr / PAGE_BYTES);
+        }
+        Ok(phys)
+    }
+
     /// Classifies an ECC fault raised by a physical access at `phys_group`,
     /// reached through virtual address `vaddr`.
     fn classify_ecc_fault(&mut self, vaddr: u64, kind: AccessKind, group_addr: u64) -> OsFault {
         let ls = self.line_size();
         let phys_line = group_addr & !(ls - 1);
-        let Some(line) = self.watch.line_by_phys(phys_line) else {
+        // A frame backs one page at a time and the faulting group lies in
+        // the frame of the access's page, so the only candidate is the line
+        // at the same offset in that page. It is the watched line if its
+        // recorded placement is this physical line.
+        let vline = vaddr - vaddr % PAGE_BYTES + phys_line % PAGE_BYTES;
+        let Some((region_vaddr, original)) = self.watch.armed_line(vline, phys_line) else {
             self.stats.hardware_panics += 1;
             self.klog.push(
                 self.machine.clock().cycles(),
@@ -456,19 +442,19 @@ impl Os {
         // must equal original ⊕ scramble-mask for every group in the line.
         let scheme = self.machine.scramble();
         let current = self.machine.peek(phys_line, ls as usize);
-        let signature_ok = line
-            .original
-            .chunks_exact(8)
-            .zip(current.chunks_exact(8))
-            .all(|(orig, cur)| {
-                let o = u64::from_le_bytes(orig.try_into().expect("8"));
-                let c = u64::from_le_bytes(cur.try_into().expect("8"));
-                scheme.matches(o, c)
-            });
+        let signature_ok =
+            original
+                .chunks_exact(8)
+                .zip(current.chunks_exact(8))
+                .all(|(orig, cur)| {
+                    let o = u64::from_le_bytes(orig.try_into().expect("8"));
+                    let c = u64::from_le_bytes(cur.try_into().expect("8"));
+                    scheme.matches(o, c)
+                });
         let user = UserEccFault {
-            region_vaddr: line.region_vaddr,
-            line_vaddr: line.vline,
-            access_vaddr: line.vline + (group_addr - phys_line),
+            region_vaddr,
+            line_vaddr: vline,
+            access_vaddr: vline + (group_addr - phys_line),
             access: kind,
             signature_ok,
         };
@@ -640,9 +626,12 @@ impl Os {
     /// `WatchMemory(address, size)`: arms ECC watchpoints over the region.
     ///
     /// Per the paper the region and size must be cache-line aligned. The
-    /// sequence per line: pin its page (under [`SwapPolicy::PinWatchedPages`]),
-    /// flush the line, save the original data in kernel-private memory, then
-    /// bus-lock → ECC off → write scrambled data → ECC on.
+    /// region is armed one page segment at a time, in address order: pin the
+    /// page (under [`SwapPolicy::PinWatchedPages`]), translate it, flush the
+    /// segment's lines, save their original data and check codes in
+    /// kernel-private memory, then bus-lock → ECC off → write the scrambled
+    /// lines → ECC on → unlock. Every charge equals that of arming the lines
+    /// one at a time (DESIGN.md §4.4).
     ///
     /// # Errors
     ///
@@ -674,57 +663,21 @@ impl Os {
         }
 
         let start_cycles = self.machine.clock().cycles();
-        self.watch.insert_region(vaddr, size);
-        let lines = size / ls;
-        for i in 0..lines {
-            let vline = vaddr + i * ls;
-            if self.swap_policy == SwapPolicy::PinWatchedPages {
-                if let Err(e) = self.vm.pin(&mut self.machine, vline) {
-                    // Roll back the partially armed region: disarm the lines
-                    // already scrambled, unpin their pages, drop the region.
-                    let (_, armed) = self
-                        .watch
-                        .remove_region(vaddr)
-                        .expect("region was just inserted");
-                    for line in armed {
-                        if let Some(phys) = line.phys_line {
-                            self.disarm_line_at(phys, &line.original, line.codes);
-                        }
-                        self.vm.unpin(line.vline);
-                    }
-                    return Err(e);
-                }
+        let slot = self.watch.insert_region(vaddr, size);
+        for (seg, _, lines) in watch::segments(vaddr, size, ls) {
+            if let Err(e) = self.arm_segment(slot, seg, lines) {
+                // Roll back the partially armed region: disarm the lines
+                // already scrambled, unpin their pages, drop the region.
+                let region = self
+                    .watch
+                    .remove_region(vaddr)
+                    .expect("region was just inserted");
+                self.disarm_region(&region);
+                self.watch.recycle(region);
+                return Err(e);
             }
-            let (phys, _) = self
-                .vm
-                .translate(&mut self.machine, vline)
-                .expect("page pinned or just resident");
-            self.drain_evictions();
-            let phys_line = phys & !(ls - 1);
-            // Authoritative data may be dirty in cache: flush first, then
-            // read the original from memory.
-            self.machine.flush_range(phys_line, ls);
-            let mut original = self.line_pool.pop().unwrap_or_default();
-            original.resize(ls as usize, 0);
-            self.machine.peek_into(phys_line, &mut original);
-            // The disarm fast path needs the ECC codes of `original`. A line
-            // whose dirty bit is clear already stores exactly those codes
-            // (clean means code == encode(data)); only lines carrying stale
-            // or injected codes pay for a fresh encode.
-            let codes = <&[u8; 64]>::try_from(original.as_slice()).ok().map(|data| {
-                let ctl = self.machine.controller();
-                ctl.line_codes_if_clean(phys_line)
-                    .unwrap_or_else(|| ctl.encode_line(data))
-            });
-            self.arm_line_at(phys_line, &original);
-            self.watch.insert_line(WatchedLine {
-                region_vaddr: vaddr,
-                vline,
-                phys_line: Some(phys_line),
-                original,
-                codes,
-            });
         }
+        let lines = size / ls;
         self.stats.watch_calls += 1;
         self.klog.push(
             self.machine.clock().cycles(),
@@ -739,43 +692,118 @@ impl Os {
         Ok(())
     }
 
+    /// Arms the `lines` lines of the page segment at `vaddr` and records
+    /// them in the region at `slot`. On error nothing of the segment is
+    /// armed or pinned.
+    fn arm_segment(&mut self, slot: usize, vaddr: u64, lines: u64) -> Result<(), OsError> {
+        let ls = self.line_size();
+        // Arming line by line would pin and translate (or, swap-aware, only
+        // translate) each line. Only the first line can newly pin the page or
+        // fault it in, so the pin cap is checked once, the page translated
+        // once, and the other lines' translations are LRU hits.
+        let translations_per_line = match self.swap_policy {
+            SwapPolicy::PinWatchedPages => {
+                let pins = u32::try_from(lines).expect("a page holds few lines");
+                self.vm.pin(&mut self.machine, vaddr, pins)?;
+                2
+            }
+            SwapPolicy::SwapAware => 1,
+        };
+        let phys = self
+            .translate_page(vaddr, false)
+            .expect("page pinned or just resident");
+        if lines > 1 {
+            self.vm
+                .record_hits(vaddr, translations_per_line * (lines - 1));
+        }
+        // Authoritative data may be dirty in cache: flush first, then read
+        // the originals from memory.
+        self.machine.flush_range(phys, lines * ls);
+        let (original, records) = self.watch.push_segment(slot, phys, lines);
+        self.machine.peek_into(phys, original);
+        // The disarm fast path needs the ECC codes of each 64-byte line. A
+        // line whose dirty bit is clear already stores exactly those codes
+        // (clean means code == encode(data)); only lines carrying stale or
+        // injected codes pay for a fresh encode.
+        let ctl = self.machine.controller();
+        for ((record, data), line) in records
+            .iter_mut()
+            .zip(original.chunks_exact(ls as usize))
+            .zip((phys..).step_by(ls as usize))
+        {
+            if let Ok(data) = <&[u8; 64]>::try_from(data) {
+                record.codes = ctl
+                    .line_codes_if_clean(line)
+                    .unwrap_or_else(|| ctl.encode_line(data));
+            }
+        }
+        Self::arm_on(&mut self.machine, phys, original, &mut self.scramble_buf);
+        Ok(())
+    }
+
+    /// Restores the original data of every armed line of a removed region
+    /// and drops the lines' pins, a page segment at a time.
+    fn disarm_region(&mut self, region: &Region) {
+        let ls = self.line_size();
+        let (records, original) = (region.lines(), region.original());
+        for (vaddr, first, lines) in watch::segments(region.start(), region.size(), ls) {
+            // A region rolled back mid-arm has records for whole segments
+            // up to the failed one.
+            if first == records.len() {
+                break;
+            }
+            let segment = &records[first..first + lines as usize];
+            let phys = match segment[0].phys {
+                Some(phys) => phys,
+                // Swapped-out armed lines (swap-aware policy) hold scrambled
+                // data in swap. Fault the page in, which re-arms the page's
+                // other watched lines but not these (the region is already
+                // out of the registry), then restore. The lines after the
+                // first find the page resident.
+                None => {
+                    let phys = self
+                        .translate_page(vaddr, false)
+                        .expect("swap-in for unwatch");
+                    if lines > 1 {
+                        self.vm.record_hits(vaddr, lines - 1);
+                    }
+                    phys
+                }
+            };
+            debug_assert!(segment
+                .iter()
+                .all(|l| l.phys.is_some() == segment[0].phys.is_some()));
+            let bytes = &original[first * ls as usize..(first + lines as usize) * ls as usize];
+            for ((record, data), line) in segment
+                .iter()
+                .zip(bytes.chunks_exact(ls as usize))
+                .zip((phys..).step_by(ls as usize))
+            {
+                Self::disarm_line_on(&mut self.machine, line, data, record.codes);
+            }
+            if self.swap_policy == SwapPolicy::PinWatchedPages {
+                let pins = u32::try_from(lines).expect("a page holds few lines");
+                self.vm.unpin(vaddr, pins);
+            }
+        }
+    }
+
     /// `DisableWatchMemory(address)`: disarms the watched region starting at
-    /// `vaddr`, restoring original data and unpinning pages.
+    /// `vaddr`, restoring original data and dropping its lines' pins (a page
+    /// stays pinned while other watched lines on it hold pins).
     ///
     /// # Errors
     ///
     /// Returns [`OsError::NotWatched`] if no region starts at `vaddr`.
     pub fn disable_watch_memory(&mut self, vaddr: u64) -> Result<(), OsError> {
         let start_cycles = self.machine.clock().cycles();
-        let (_, lines) = self
+        let region = self
             .watch
             .remove_region(vaddr)
             .ok_or(OsError::NotWatched { vaddr })?;
-        let n = lines.len() as u64;
-        for line in lines {
-            if let Some(phys) = line.phys_line {
-                self.disarm_line_at(phys, &line.original, line.codes);
-            }
-            // Swapped-out armed lines (swap-aware policy) hold scrambled
-            // data in swap; restore it lazily by rewriting through the VM.
-            else {
-                // Fault the page in *without* re-arming (the region is
-                // already removed from the registry), then restore.
-                let (phys, _) = self
-                    .vm
-                    .translate(&mut self.machine, line.vline)
-                    .expect("swap-in for unwatch");
-                self.drain_evictions();
-                let ls = self.line_size();
-                self.disarm_line_at(phys & !(ls - 1), &line.original, line.codes);
-            }
-            if self.swap_policy == SwapPolicy::PinWatchedPages {
-                self.vm.unpin(line.vline);
-            }
-            if self.line_pool.len() < 1024 {
-                self.line_pool.push(line.original);
-            }
-        }
+        let n = region.lines().len() as u64;
+        self.disarm_region(&region);
+        self.watch.recycle(region);
         self.stats.disable_calls += 1;
         self.klog.push(
             self.machine.clock().cycles(),
@@ -806,7 +834,7 @@ impl Os {
         self.watch.line_count()
     }
 
-    /// Starts of all watched regions (unspecified order; used by
+    /// Starts of all watched regions, in address order (used by
     /// [`procfs::watchlist`]).
     #[must_use]
     pub fn watch_registry_region_starts(&self) -> Vec<u64> {
@@ -846,17 +874,12 @@ impl Os {
         if !self.machine.controller().mode().scrubs() {
             return;
         }
-        // Disarm all lines (program blocked; CPU-charged). The registry and
-        // the machine are walked side by side — no per-line lookups, no
-        // copies of the saved originals.
-        let mut watched_lines = 0u64;
-        {
-            let machine = &mut self.machine;
-            for line in self.watch.lines() {
-                watched_lines += 1;
-                if let Some(p) = line.phys_line {
-                    Self::disarm_line_on(machine, p, &line.original, line.codes);
-                }
+        // Disarm all lines (program blocked; CPU-charged), walking the
+        // registry's records and the machine side by side.
+        let watched_lines = self.watch.line_count() as u64;
+        for (line, original) in self.watch.lines() {
+            if let Some(p) = line.phys {
+                Self::disarm_line_on(&mut self.machine, p, original, line.codes);
             }
         }
         // Scrub everything resident (background).
@@ -868,12 +891,9 @@ impl Os {
         self.machine.compute(scan_cycles);
         self.background_cycles += self.machine.clock().cycles() - before;
         // Re-arm (CPU-charged).
-        {
-            let machine = &mut self.machine;
-            for line in self.watch.lines() {
-                if let Some(p) = line.phys_line {
-                    Self::arm_line_on(machine, p, &line.original);
-                }
+        for (line, original) in self.watch.lines() {
+            if let Some(p) = line.phys {
+                Self::arm_on(&mut self.machine, p, original, &mut self.scramble_buf);
             }
         }
         self.stats.scrub_cycles += 1;

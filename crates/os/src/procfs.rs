@@ -33,9 +33,7 @@ pub fn watchlist(os: &Os) -> String {
         os.watched_region_count(),
         os.watched_line_count()
     );
-    let mut starts = os.watch_registry_region_starts();
-    starts.sort_unstable();
-    for start in starts {
+    for start in os.watch_registry_region_starts() {
         if let Some((vaddr, size)) = os.watched_region_containing(start) {
             let _ = writeln!(out, "  {vaddr:#012x} +{size}");
         }

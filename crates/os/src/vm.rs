@@ -80,7 +80,8 @@ impl Default for PageEntry {
     }
 }
 
-/// Virtual-memory statistics.
+/// Virtual-memory statistics. The pinned and resident page counts are
+/// maintained as pages change state, so reading them scans nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VmStats {
@@ -149,10 +150,7 @@ impl VirtualMemory {
     /// Current statistics.
     #[must_use]
     pub fn stats(&self) -> VmStats {
-        let mut s = self.stats;
-        s.pinned_pages = self.pages.values().filter(|p| p.pinned > 0).count() as u64;
-        s.resident_pages = self.pages.values().filter(|p| p.frame.is_some()).count() as u64;
-        s
+        self.stats
     }
 
     fn vpn(vaddr: u64) -> u64 {
@@ -191,21 +189,29 @@ impl VirtualMemory {
         Ok(())
     }
 
-    /// Pins the page containing `vaddr` (refcounted). A pinned page is made
-    /// resident immediately and is never evicted.
+    /// Takes `count` pins on the page containing `vaddr` (pins are
+    /// refcounted; the watch path takes one per watched line). A pinned page
+    /// is made resident immediately and is never evicted. The page is
+    /// translated once, whatever `count` is.
     ///
     /// # Errors
     ///
     /// Returns [`OsError::OutOfMemory`] if the page cannot be made resident
     /// or the pinned-page cap (the `RLIMIT_MEMLOCK` analogue) is reached.
-    pub fn pin(&mut self, machine: &mut Machine, vaddr: u64) -> Result<(), OsError> {
+    pub fn pin(&mut self, machine: &mut Machine, vaddr: u64, count: u32) -> Result<(), OsError> {
         let newly_pinned = !self.is_pinned(vaddr);
-        if newly_pinned && self.stats().pinned_pages >= self.max_pinned {
+        if newly_pinned && self.stats.pinned_pages >= self.max_pinned {
             return Err(OsError::OutOfMemory);
         }
         self.translate(machine, vaddr)?;
-        let entry = self.pages.entry(Self::vpn(vaddr)).or_default();
-        entry.pinned += 1;
+        let entry = self
+            .pages
+            .get_mut(&Self::vpn(vaddr))
+            .expect("page just translated");
+        entry.pinned += count;
+        if newly_pinned && count > 0 {
+            self.stats.pinned_pages += 1;
+        }
         Ok(())
     }
 
@@ -214,22 +220,26 @@ impl VirtualMemory {
         self.max_pinned = pages.max(1);
     }
 
-    /// Unpins the page containing `vaddr`.
+    /// Drops `count` pins on the page containing `vaddr`.
     ///
     /// # Panics
     ///
-    /// Panics if the page is not pinned (an unbalanced unpin is a tool bug).
-    pub fn unpin(&mut self, vaddr: u64) {
+    /// Panics if the page holds fewer than `count` pins (an unbalanced unpin
+    /// is a tool bug).
+    pub fn unpin(&mut self, vaddr: u64, count: u32) {
         let entry = self
             .pages
             .get_mut(&Self::vpn(vaddr))
             .expect("unpin of unmapped page");
         assert!(
-            entry.pinned > 0,
+            entry.pinned >= count,
             "unbalanced unpin of page {:#x}",
             vaddr / PAGE_BYTES
         );
-        entry.pinned -= 1;
+        entry.pinned -= count;
+        if count > 0 && entry.pinned == 0 {
+            self.stats.pinned_pages -= 1;
+        }
     }
 
     /// Whether the page containing `vaddr` is currently pinned.
@@ -260,6 +270,7 @@ impl VirtualMemory {
             .ok_or(OsError::OutOfMemory)?;
         let entry = self.pages.get_mut(&victim_vpn).expect("victim exists");
         let frame = entry.frame.take().expect("victim resident");
+        self.stats.resident_pages -= 1;
         // Push any cached dirty lines of the frame back to memory first,
         // then copy the frame out to swap.
         machine.flush_range(frame, PAGE_BYTES);
@@ -314,6 +325,7 @@ impl VirtualMemory {
         let entry = self.pages.entry(vpn).or_default();
         entry.frame = Some(frame);
         entry.last_use = tick;
+        self.stats.resident_pages += 1;
         Ok((frame + vaddr % PAGE_BYTES, outcome))
     }
 
@@ -406,7 +418,7 @@ mod tests {
     fn pinned_pages_survive_pressure() {
         let mut m = machine();
         let mut vm = VirtualMemory::new(2 * PAGE_BYTES);
-        vm.pin(&mut m, HEAP_BASE).unwrap();
+        vm.pin(&mut m, HEAP_BASE, 1).unwrap();
         vm.translate(&mut m, HEAP_BASE + PAGE_BYTES).unwrap();
         vm.translate(&mut m, HEAP_BASE + 2 * PAGE_BYTES).unwrap();
         assert!(vm.is_resident(HEAP_BASE), "pinned page must not be evicted");
@@ -417,16 +429,16 @@ mod tests {
         let mut m = machine();
         let mut vm = VirtualMemory::new(4 * PAGE_BYTES);
         // Cap of 3 pinned pages (3/4 of 4 frames).
-        vm.pin(&mut m, HEAP_BASE).unwrap();
-        vm.pin(&mut m, HEAP_BASE + PAGE_BYTES).unwrap();
-        vm.pin(&mut m, HEAP_BASE + 2 * PAGE_BYTES).unwrap();
+        vm.pin(&mut m, HEAP_BASE, 1).unwrap();
+        vm.pin(&mut m, HEAP_BASE + PAGE_BYTES, 1).unwrap();
+        vm.pin(&mut m, HEAP_BASE + 2 * PAGE_BYTES, 1).unwrap();
         assert_eq!(
-            vm.pin(&mut m, HEAP_BASE + 3 * PAGE_BYTES),
+            vm.pin(&mut m, HEAP_BASE + 3 * PAGE_BYTES, 1),
             Err(OsError::OutOfMemory),
             "cap reached"
         );
         // Re-pinning an already-pinned page is always allowed.
-        vm.pin(&mut m, HEAP_BASE).unwrap();
+        vm.pin(&mut m, HEAP_BASE, 1).unwrap();
         // Ordinary accesses still work: one frame stays evictable.
         vm.translate(&mut m, HEAP_BASE + 5 * PAGE_BYTES).unwrap();
     }
@@ -435,12 +447,14 @@ mod tests {
     fn pin_is_refcounted() {
         let mut m = machine();
         let mut vm = VirtualMemory::new(4 * PAGE_BYTES);
-        vm.pin(&mut m, HEAP_BASE).unwrap();
-        vm.pin(&mut m, HEAP_BASE + 64).unwrap(); // same page
-        vm.unpin(HEAP_BASE);
+        vm.pin(&mut m, HEAP_BASE, 1).unwrap();
+        vm.pin(&mut m, HEAP_BASE + 64, 2).unwrap(); // same page
+        vm.unpin(HEAP_BASE, 2);
         assert!(vm.is_pinned(HEAP_BASE));
-        vm.unpin(HEAP_BASE);
+        assert_eq!(vm.stats().pinned_pages, 1);
+        vm.unpin(HEAP_BASE, 1);
         assert!(!vm.is_pinned(HEAP_BASE));
+        assert_eq!(vm.stats().pinned_pages, 0);
     }
 
     #[test]
@@ -449,7 +463,7 @@ mod tests {
         let mut m = machine();
         let mut vm = VirtualMemory::new(4 * PAGE_BYTES);
         vm.translate(&mut m, HEAP_BASE).unwrap();
-        vm.unpin(HEAP_BASE);
+        vm.unpin(HEAP_BASE, 1);
     }
 
     #[test]
@@ -526,6 +540,37 @@ mod tests {
         let ev = vm.take_evictions();
         assert_eq!(ev, vec![HEAP_BASE / PAGE_BYTES]);
         assert!(vm.take_evictions().is_empty(), "drained");
+    }
+
+    #[test]
+    fn page_counts_match_a_page_table_scan() {
+        use rand::{Rng, SeedableRng};
+        let mut m = machine();
+        // 6 frames for 16 pages, half the frames pinnable: every kind of
+        // step runs under eviction pressure, and some pins hit the cap.
+        let mut vm = VirtualMemory::new(6 * PAGE_BYTES);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9a9e);
+        let page = |n: u64| HEAP_BASE + n * PAGE_BYTES + 8 * n;
+        for _ in 0..4000 {
+            let n = rng.gen_range(0..16u64);
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    let _ = vm.pin(&mut m, page(n), rng.gen_range(0..4u32));
+                }
+                1 if vm.is_pinned(page(n)) => {
+                    let held = vm.pages[&(page(n) / PAGE_BYTES)].pinned;
+                    vm.unpin(page(n), rng.gen_range(0..held + 1));
+                }
+                _ => {
+                    let _ = vm.translate(&mut m, page(n));
+                }
+            }
+            let pinned = vm.pages.values().filter(|p| p.pinned > 0).count() as u64;
+            let resident = vm.pages.values().filter(|p| p.frame.is_some()).count() as u64;
+            assert_eq!(vm.stats().pinned_pages, pinned);
+            assert_eq!(vm.stats().resident_pages, resident);
+        }
+        assert!(vm.stats().swap_outs > 100, "{:?}", vm.stats());
     }
 
     #[test]

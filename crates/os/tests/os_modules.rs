@@ -5,7 +5,7 @@
 
 use safemem_os::procfs;
 use safemem_os::{
-    Os, OsConfig, OsFault, SwapPolicy, UserEccFault, WatchRegistry, WatchedLine, HEAP_BASE,
+    ArmedLine, Os, OsConfig, OsFault, SwapPolicy, UserEccFault, WatchRegistry, HEAP_BASE,
     PAGE_BYTES,
 };
 
@@ -131,22 +131,12 @@ fn vm_translate_resident_never_faults_pages_in() {
 
 #[test]
 fn watch_registry_bookkeeping() {
-    let mut reg = WatchRegistry::new();
-    reg.insert_region(HEAP_BASE, 128);
-    reg.insert_line(WatchedLine {
-        region_vaddr: HEAP_BASE,
-        vline: HEAP_BASE,
-        phys_line: Some(0x1000),
-        original: vec![0xAA; 64],
-        codes: None,
-    });
-    reg.insert_line(WatchedLine {
-        region_vaddr: HEAP_BASE,
-        vline: HEAP_BASE + 64,
-        phys_line: Some(0x1040),
-        original: vec![0xBB; 64],
-        codes: None,
-    });
+    let mut reg = WatchRegistry::new(64);
+    let slot = reg.insert_region(HEAP_BASE, 128);
+    let (original, records) = reg.push_segment(slot, 0x1000, 2);
+    original[..64].fill(0xAA);
+    original[64..].fill(0xBB);
+    records[1].codes = [7; 8];
 
     assert_eq!(reg.region_count(), 1);
     assert_eq!(reg.line_count(), 2);
@@ -157,23 +147,40 @@ fn watch_registry_bookkeeping() {
     );
     assert_eq!(reg.overlapping_region(HEAP_BASE + 64, 64), Some(HEAP_BASE));
     assert_eq!(reg.overlapping_region(HEAP_BASE + 128, 64), None);
-    assert_eq!(reg.line_by_phys(0x1040).unwrap().vline, HEAP_BASE + 64);
+    // Fault routing: the line at a virtual address, if it sits at the
+    // faulting physical line.
+    let (start, original) = reg.armed_line(HEAP_BASE + 64, 0x1040).unwrap();
+    assert_eq!((start, original), (HEAP_BASE, &[0xBB; 64][..]));
+    assert!(reg.armed_line(HEAP_BASE + 64, 0x1000).is_none());
 
     // Swap-aware retirement: evicting the page clears the physical
-    // placement; the line stays registered by virtual address.
+    // placement; the lines stay registered by virtual address.
     let vpn = HEAP_BASE / PAGE_BYTES;
-    let in_page = reg.vlines_in_page(vpn, PAGE_BYTES);
-    assert_eq!(in_page.len(), 2);
-    for vline in in_page {
-        reg.set_line_phys(vline, None);
-    }
-    assert!(reg.line_by_phys(0x1000).is_none());
-    assert!(reg.line_by_vaddr(HEAP_BASE).unwrap().phys_line.is_none());
+    let mut in_page = Vec::new();
+    reg.for_each_line_in_page(vpn, |vline, line, _| {
+        in_page.push(vline);
+        line.phys = None;
+    });
+    assert_eq!(in_page, [HEAP_BASE, HEAP_BASE + 64]);
+    assert!(reg.armed_line(HEAP_BASE, 0x1000).is_none());
     assert_eq!(reg.lines().count(), 2);
+    assert!(reg.lines().all(|(line, _)| line.phys.is_none()));
 
-    let (size, lines) = reg.remove_region(HEAP_BASE).unwrap();
-    assert_eq!(size, 128);
-    assert_eq!(lines.len(), 2);
+    let region = reg.remove_region(HEAP_BASE).unwrap();
+    assert_eq!(region.size(), 128);
+    assert_eq!(
+        region.lines(),
+        [
+            ArmedLine {
+                phys: None,
+                codes: [0; 8]
+            },
+            ArmedLine {
+                phys: None,
+                codes: [7; 8]
+            }
+        ]
+    );
     assert_eq!(reg.region_count(), 0);
     assert_eq!(reg.line_count(), 0);
 }
@@ -199,4 +206,71 @@ fn watch_faults_report_the_exact_access_address() {
     assert_eq!(region_vaddr, HEAP_BASE);
     assert_eq!(line_vaddr, HEAP_BASE + 192, "line 3 of 4");
     assert_eq!(access_vaddr, HEAP_BASE + 192, "group holding byte 200");
+}
+
+/// An 8-frame swap-aware machine with `0x77` bytes under 64-byte watched
+/// lines at `regions`, all in the page at `HEAP_BASE`, whose page has then
+/// been forced out to swap.
+fn swapped_out_watches(regions: &[u64]) -> Os {
+    let mut os = Os::new(OsConfig {
+        phys_bytes: 8 * PAGE_BYTES,
+        swap_policy: SwapPolicy::SwapAware,
+        ..OsConfig::default()
+    });
+    os.register_ecc_fault_handler();
+    os.vwrite(HEAP_BASE, &[0x77; 256]).unwrap();
+    for &vaddr in regions {
+        os.watch_memory(vaddr, 64).unwrap();
+    }
+    for i in 0..16u64 {
+        os.vwrite(HEAP_BASE + (i + 4) * PAGE_BYTES, &[i as u8; 32])
+            .unwrap();
+    }
+    assert!(!os.vm().is_resident(HEAP_BASE), "watched page evicted");
+    os
+}
+
+/// The watched line at `HEAP_BASE` still faults as an access, and its data
+/// comes back intact once unwatched.
+fn assert_still_armed(os: &mut Os) {
+    let fault = os.vread(HEAP_BASE, &mut [0u8; 8]).unwrap_err();
+    assert!(
+        matches!(
+            fault,
+            OsFault::Ecc(UserEccFault {
+                signature_ok: true,
+                line_vaddr: HEAP_BASE,
+                ..
+            })
+        ),
+        "the neighbour's watch missed the access: {fault:?}"
+    );
+    os.disable_watch_memory(HEAP_BASE).unwrap();
+    let mut buf = [0u8; 64];
+    os.vread(HEAP_BASE, &mut buf).unwrap();
+    assert_eq!(buf, [0x77; 64]);
+}
+
+#[test]
+fn watch_memory_swap_in_keeps_neighbours_armed() {
+    // Watching a second line of the evicted page swaps it in from inside
+    // the syscall; the first line must be re-armed like any swap-in.
+    let mut os = swapped_out_watches(&[HEAP_BASE]);
+    let swap_ins = os.vm().stats().swap_ins;
+    os.watch_memory(HEAP_BASE + 128, 64).unwrap();
+    assert_eq!(os.vm().stats().swap_ins, swap_ins + 1, "the syscall paged");
+    assert_still_armed(&mut os);
+}
+
+#[test]
+fn disable_swap_in_keeps_neighbours_armed() {
+    // Unwatching a swapped-out region faults its page in to restore it; the
+    // page's other watched line must come back armed.
+    let mut os = swapped_out_watches(&[HEAP_BASE, HEAP_BASE + 128]);
+    os.disable_watch_memory(HEAP_BASE + 128).unwrap();
+    assert!(os.vm().is_resident(HEAP_BASE), "the syscall paged");
+    assert_still_armed(&mut os);
+    let mut buf = [0u8; 64];
+    os.vread(HEAP_BASE + 128, &mut buf).unwrap();
+    assert_eq!(buf, [0x77; 64], "the unwatched region is restored");
 }

@@ -39,7 +39,7 @@ impl ToolChoice {
             "purify" => ToolChoice::Purify,
             "memcheck" => ToolChoice::Memcheck,
             "pageguard" | "page-guard" => ToolChoice::PageGuard,
-            other => return Err(CliError(format!("unknown tool {other:?}"))),
+            other => return Err(CliError(format!("--tool: unknown tool {other:?}"))),
         })
     }
 }
@@ -92,14 +92,15 @@ pub fn usage() -> String {
          \x20 --app <name>        one of: {apps}\n\
          \x20 --tool <tool>       none | safemem | safemem-ml | safemem-mc | purify | memcheck | pageguard (default safemem)\n\
          \x20 --input <mode>      normal | buggy (default normal)\n\
-         \x20 --requests <n>      request count (default: the app's)\n\
+         \x20 --requests <n>      request count (default: the app's; at most {max_requests})\n\
          \x20 --seed <n>          RNG seed (default 0x5AFE3E3)\n\
          \x20 --trace-out <file>  record the op trace to <file>\n\
          \x20 --replay <file>     replay a recorded trace instead of an app\n\
          \x20 --verbose           print every report\n\
          \x20 --stats             print the kernel /proc snapshot after the run\n\
          \x20 --list              list the available applications\n",
-        apps = apps.join(" | ")
+        apps = apps.join(" | "),
+        max_requests = crate::faultinject::MAX_CAMPAIGN_REQUESTS,
     )
 }
 
@@ -135,15 +136,22 @@ impl Cli {
                     cli.input = match value("--input")?.as_str() {
                         "normal" => InputMode::Normal,
                         "buggy" => InputMode::Buggy,
-                        other => return Err(CliError(format!("unknown input mode {other:?}"))),
+                        other => {
+                            return Err(CliError(format!("--input: unknown input mode {other:?}")))
+                        }
                     }
                 }
                 "--requests" => {
-                    cli.requests = Some(
-                        value("--requests")?
-                            .parse()
-                            .map_err(|_| CliError("--requests needs an integer".into()))?,
-                    );
+                    let n: u64 = value("--requests")?
+                        .parse()
+                        .map_err(|_| CliError("--requests needs an integer".into()))?;
+                    let max = crate::faultinject::MAX_CAMPAIGN_REQUESTS;
+                    if n > max {
+                        return Err(CliError(format!(
+                            "--requests {n} exceeds the limit of {max} requests per run"
+                        )));
+                    }
+                    cli.requests = Some(n);
                 }
                 "--seed" => {
                     cli.seed = value("--seed")?
@@ -1079,6 +1087,22 @@ mod tests {
         assert!(parse(&["--app", "gzip", "--tool", "asan"]).is_err());
         assert!(parse(&["--app", "gzip", "--requests", "many"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn run_cli_rejects_requests_above_the_limit() {
+        use crate::faultinject::MAX_CAMPAIGN_REQUESTS;
+        let limit = MAX_CAMPAIGN_REQUESTS.to_string();
+        let cli = parse(&["--app", "gzip", "--requests", &limit]).unwrap();
+        assert_eq!(cli.requests, Some(MAX_CAMPAIGN_REQUESTS));
+        for n in ["100001", "99999999999", "18446744073709551615"] {
+            let err = parse(&["--app", "gzip", "--requests", n]).unwrap_err();
+            assert!(
+                err.0.contains("--requests") && err.0.contains(&limit),
+                "names the flag and the limit: {err}"
+            );
+        }
+        assert!(usage().contains(&limit), "{}", usage());
     }
 
     #[test]
