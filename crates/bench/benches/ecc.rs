@@ -183,8 +183,9 @@ fn bench_watch(c: &mut Criterion) {
         })
     });
 
-    // A scrub pass coordinated around 16 watched 4-line regions: every
-    // watched line is disarmed before the scan and re-armed after it.
+    // A scrub pass coordinated around 16 watched 4-line regions. Every
+    // watched line is held, so the cycle charges its disarm and re-arm
+    // without rewriting it.
     let mut os = Os::with_defaults(1 << 22);
     os.register_ecc_fault_handler();
     os.machine_mut()
@@ -198,6 +199,19 @@ fn bench_watch(c: &mut Criterion) {
     }
     c.bench_function("watch/scrub_cycle_64_lines", |b| {
         b.iter(|| os.run_scrub_cycle())
+    });
+
+    // The same pass after a data-bit flip in one watched line, injected
+    // before every cycle (and timed with it): that line has lost its hold,
+    // so the cycle walks the registry and restores, scrubs and re-arms it.
+    let watched = os.vm().translate_resident(HEAP_BASE).expect("watched page");
+    c.bench_function("watch/scrub_cycle_64_lines_disturbed", |b| {
+        b.iter(|| {
+            os.machine_mut()
+                .controller_mut()
+                .inject_data_error(watched, 5);
+            os.run_scrub_cycle();
+        })
     });
 }
 

@@ -1,8 +1,11 @@
-//! Golden snapshots of the two ablations that run the cache hierarchy in
-//! configurations no other golden or benchmark workload uses: the next-line
-//! prefetcher switched on (`ablation_prefetch`), and 32-, 128- and 256-byte
-//! lines (`ablation_granularity`), each through the whole stack at scale
-//! 0.1.
+//! Golden snapshots of three ablations: the two that run the cache
+//! hierarchy in configurations no other golden or benchmark workload uses,
+//! the next-line prefetcher switched on (`ablation_prefetch`) and 32-, 128-
+//! and 256-byte lines (`ablation_granularity`), each through the whole
+//! stack at scale 0.1; and the scrub-coordination cost (`ablation_scrub`),
+//! the CPU cycles a coordinated scrub cycle charges the process for 0 to
+//! 1024 watched lines, 200 cycles per line for the restore and the
+//! re-scramble.
 //!
 //! Regenerate after an *intentional* change with:
 //! `UPDATE_GOLDEN=1 cargo test -p safemem-bench --test golden_ablations`
@@ -41,4 +44,9 @@ fn ablation_granularity_matches_the_checked_in_golden() {
         "ablation_granularity",
         &reports::ablation_granularity(SCALE),
     );
+}
+
+#[test]
+fn ablation_scrub_matches_the_checked_in_golden() {
+    check_golden("ablation_scrub", &reports::ablation_scrub());
 }

@@ -451,6 +451,42 @@ impl EccController {
         self.mem.line_codes_if_clean(addr)
     }
 
+    /// Holds each consecutive 64-byte line from `addr` whose stored codes
+    /// equal the next entry of `codes` (see [`EccMemory::hold_lines`]): the
+    /// caller declares each line to store its armed state, and the scrubber
+    /// skips it until something writes it. Returns how many were newly
+    /// held.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line-aligned or the lines leave its frame.
+    pub fn hold_lines(
+        &mut self,
+        addr: u64,
+        codes: impl IntoIterator<Item = [u8; LINE_GROUPS]>,
+    ) -> usize {
+        self.mem.hold_lines(addr, codes)
+    }
+
+    /// Drops the holds on every 64-byte line overlapping `[addr, addr +
+    /// len)`, leaving the stored bytes as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds physical memory.
+    pub fn release_lines(&mut self, addr: u64, len: u64) {
+        self.mem.release_lines(addr, len);
+    }
+
+    /// Counts the encodes of restoring `lines` held lines with
+    /// [`write_line_precoded`](Self::write_line_precoded) while ECC is on,
+    /// without performing the writes: with the re-scramble that follows,
+    /// they would leave each line as it is.
+    pub fn account_held_restores(&mut self, lines: u64) {
+        debug_assert!(self.enabled && self.mode.checks(), "restores encode");
+        self.stats.groups_encoded += lines * LINE_GROUPS as u64;
+    }
+
     /// Reads raw stored bytes without any verification or accounting — the
     /// diagnostic window the SafeMem fault handler uses to compare a faulted
     /// word against the scramble signature.
@@ -544,7 +580,10 @@ impl EccController {
             let frame = self.scrub_plan[(self.scrub_cursor / groups_per_frame) as usize];
             let first = self.scrub_cursor % groups_per_frame;
             let n = (groups_per_frame - first).min(max_groups - done);
-            let dirty_lines = self.mem.frame_dirty_lines(frame);
+            // Held lines store their armed state under a coordinated scrub
+            // cycle, which would have restored them (clean) before this
+            // scan; they are skipped exactly as those clean lines were.
+            let dirty_lines = self.mem.frame_scrub_lines(frame);
             if dirty_lines != 0 {
                 // Scan only the flagged lines of the chunk, 8 groups at a
                 // time through the bit-plane batch scanner; clear bits are a
@@ -613,7 +652,8 @@ impl EccController {
                 self.mem
                     .clear_dirty_lines(frame, scanned_lines & !bad_lines);
                 // A full-frame chunk that repaired every inconsistency proves
-                // the frame clean; future passes settle it in O(1).
+                // the frame clean outside its held lines; future passes
+                // settle it in O(1).
                 if first == 0 && n == groups_per_frame && !uncorrectable {
                     self.mem.mark_frame_clean(frame);
                 }

@@ -13,6 +13,18 @@
 //! counter increments whenever a frame is first touched; callers that derive
 //! plans from the resident-frame set (the controller's scrubber) key their
 //! caches on it.
+//!
+//! Each frame keeps two bitmaps with one bit per 64-byte scan line. The
+//! *dirty* bitmap is conservative syndrome tracking: a clear bit guarantees
+//! the line decodes clean. The *held* bitmap marks lines the OS has declared
+//! to store their armed watchpoint state, the scrambled original over the
+//! original's codes ([`EccMemory::hold_lines`]). A held line is always dirty,
+//! so reads of it still verify and fault. Every write, code rewrite or
+//! injected flip that reaches a held line drops its hold inside the frame
+//! access it already makes, so a hold never outlives the bytes it vouches
+//! for. The scrubber skips held lines, which is what lets a coordinated
+//! scrub cycle leave them in place instead of restoring and re-scrambling
+//! them (DESIGN.md §4.4).
 
 use crate::codec::{Codec, LINE_BYTES, LINE_GROUPS};
 
@@ -37,6 +49,10 @@ struct Frame {
     /// scrubber. A zero bitmap is the old frame-level `maybe_dirty =
     /// false` guarantee.
     dirty_lines: u64,
+    /// Lines holding their armed state (a subset of `dirty_lines`): set by
+    /// [`EccMemory::hold_lines`], cleared by any write, code rewrite or
+    /// flip that reaches the line, and by [`EccMemory::release_lines`].
+    held_lines: u64,
 }
 
 impl Frame {
@@ -46,6 +62,7 @@ impl Frame {
             data: [0u8; FRAME_BYTES as usize],
             codes: [0u8; GROUPS_PER_FRAME],
             dirty_lines: 0,
+            held_lines: 0,
         })
     }
 
@@ -54,6 +71,25 @@ impl Frame {
     fn mark_line_dirty(&mut self, off: usize) {
         self.dirty_lines |= 1u64 << (off / LINE_BYTES);
     }
+
+    /// Drops the holds on the lines in `mask` and returns how many there
+    /// were.
+    #[inline]
+    fn release(&mut self, mask: u64) -> usize {
+        let held = self.held_lines & mask;
+        if held == 0 {
+            return 0;
+        }
+        self.held_lines ^= held;
+        held.count_ones() as usize
+    }
+}
+
+/// Bits of the scan lines overlapping the frame bytes `[lo, hi)`, `lo < hi`.
+#[inline]
+fn lines_mask(lo: usize, hi: usize) -> u64 {
+    let (first, last) = (lo / LINE_BYTES, (hi - 1) / LINE_BYTES);
+    (u64::MAX >> (LINES_PER_FRAME - 1 - last)) & (u64::MAX << first)
 }
 
 /// Byte-accurate lazily-populated physical memory with stored ECC codes.
@@ -76,6 +112,8 @@ pub struct EccMemory {
     size: u64,
     resident: usize,
     epoch: u64,
+    /// Held lines over all frames.
+    held: usize,
     codec: Codec,
 }
 
@@ -85,6 +123,7 @@ impl std::fmt::Debug for EccMemory {
             .field("size", &self.size)
             .field("resident_frames", &self.resident)
             .field("allocation_epoch", &self.epoch)
+            .field("held_lines", &self.held)
             .finish()
     }
 }
@@ -106,6 +145,7 @@ impl EccMemory {
             size,
             resident: 0,
             epoch: 0,
+            held: 0,
             codec: Codec::new(),
         }
     }
@@ -189,6 +229,89 @@ impl EccMemory {
             .map_or(0, |f| f.dirty_lines)
     }
 
+    /// The lines of the frame containing `frame_addr` the scrubber must
+    /// examine: the dirty ones that are not held.
+    pub(crate) fn frame_scrub_lines(&self, frame_addr: u64) -> u64 {
+        self.frames[Self::frame_index(frame_addr)]
+            .as_deref()
+            .map_or(0, |f| f.dirty_lines & !f.held_lines)
+    }
+
+    /// Number of held lines over all of memory.
+    #[must_use]
+    pub fn held_lines(&self) -> usize {
+        self.held
+    }
+
+    /// Whether the 64-byte line containing `addr` is held.
+    #[must_use]
+    pub fn is_line_held(&self, addr: u64) -> bool {
+        self.frames[Self::frame_index(addr)]
+            .as_deref()
+            .is_some_and(|f| {
+                f.held_lines & (1u64 << ((addr % FRAME_BYTES) as usize / LINE_BYTES)) != 0
+            })
+    }
+
+    /// Holds each consecutive 64-byte line from `addr` whose stored codes
+    /// equal the next entry of `codes`, and returns how many were newly
+    /// held. The caller declares that each line stores its armed state:
+    /// the scrambled original over the codes of the original, so restoring
+    /// the original with those codes and re-scrambling it with ECC off
+    /// would leave the line as it is. The lines must lie in one frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not line-aligned or the lines leave the frame.
+    pub fn hold_lines(
+        &mut self,
+        addr: u64,
+        codes: impl IntoIterator<Item = [u8; LINE_GROUPS]>,
+    ) -> usize {
+        assert!(addr.is_multiple_of(LINE_BYTES as u64), "line-aligned hold");
+        self.check_range(addr, LINE_BYTES as u64);
+        let frame_addr = addr & !(FRAME_BYTES - 1);
+        let first = ((addr - frame_addr) as usize) / LINE_BYTES;
+        let frame = self.frame_mut(frame_addr);
+        let mut newly = 0;
+        for (line, codes) in (first..).zip(codes) {
+            assert!(line < LINES_PER_FRAME, "held lines stay in one frame");
+            let bit = 1u64 << line;
+            if frame.held_lines & bit == 0
+                && frame.codes[line * LINE_GROUPS..(line + 1) * LINE_GROUPS] == codes
+            {
+                debug_assert!(frame.dirty_lines & bit != 0, "an armed line is dirty");
+                frame.held_lines |= bit;
+                newly += 1;
+            }
+        }
+        self.held += newly;
+        newly
+    }
+
+    /// Drops the holds on every 64-byte line overlapping `[addr, addr +
+    /// len)` without touching the stored bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds physical memory.
+    pub fn release_lines(&mut self, addr: u64, len: u64) {
+        self.check_range(addr, len);
+        if len == 0 {
+            return;
+        }
+        let end = addr + len;
+        let mut frame_addr = addr & !(FRAME_BYTES - 1);
+        while frame_addr < end {
+            let lo = (frame_addr.max(addr) - frame_addr) as usize;
+            let hi = ((frame_addr + FRAME_BYTES).min(end) - frame_addr) as usize;
+            if let Some(frame) = self.frames[Self::frame_index(frame_addr)].as_deref_mut() {
+                self.held -= frame.release(lines_mask(lo, hi));
+            }
+            frame_addr += FRAME_BYTES;
+        }
+    }
+
     /// Returns the stored codes of the aligned line at `addr` when they are
     /// provably consistent — the line's dirty bit is clear, so every stored
     /// code equals `encode` of the stored data. Untouched frames hold
@@ -211,12 +334,12 @@ impl EccMemory {
         )
     }
 
-    /// Records that every group of the frame has been verified clean (the
-    /// scrubber calls this after a full-frame pass found and repaired every
-    /// inconsistency).
+    /// Records that every group of the frame outside its held lines has
+    /// been verified clean (the scrubber calls this after a full-frame pass
+    /// found and repaired every inconsistency). Held lines stay dirty.
     pub(crate) fn mark_frame_clean(&mut self, frame_addr: u64) {
         if let Some(frame) = self.frames[Self::frame_index(frame_addr)].as_deref_mut() {
-            frame.dirty_lines = 0;
+            frame.dirty_lines &= frame.held_lines;
         }
     }
 
@@ -265,6 +388,7 @@ impl EccMemory {
         frame.codes[off / GROUP_BYTES as usize] = code;
         // The caller chose the code; it may not match the data.
         frame.mark_line_dirty(off);
+        self.held -= frame.release(1u64 << (off / LINE_BYTES));
     }
 
     /// Stores only the data word of a group, leaving the stored code
@@ -280,6 +404,7 @@ impl EccMemory {
         let off = (group_addr % FRAME_BYTES) as usize;
         frame.data[off..off + 8].copy_from_slice(&data.to_le_bytes());
         frame.mark_line_dirty(off);
+        self.held -= frame.release(1u64 << (off / LINE_BYTES));
     }
 
     /// Recomputes and stores the correct code for a group from its current
@@ -298,6 +423,7 @@ impl EccMemory {
             .try_into()
             .expect("group is 8 bytes");
         frame.codes[off / GROUP_BYTES as usize] = codec.encode_bytes(bytes);
+        self.held -= frame.release(1u64 << (off / LINE_BYTES));
     }
 
     /// Flips a single stored *data* bit without touching the code — a
@@ -314,6 +440,7 @@ impl EccMemory {
         let off = (group_addr % FRAME_BYTES) as usize + (bit / 8) as usize;
         frame.data[off] ^= 1u8 << (bit % 8);
         frame.mark_line_dirty(off);
+        self.held -= frame.release(1u64 << (off / LINE_BYTES));
     }
 
     /// Flips a single stored *check* bit without touching the data.
@@ -329,6 +456,7 @@ impl EccMemory {
         let off = (group_addr % FRAME_BYTES) as usize;
         frame.codes[off / GROUP_BYTES as usize] ^= 1u8 << bit;
         frame.mark_line_dirty(off);
+        self.held -= frame.release(1u64 << (off / LINE_BYTES));
     }
 
     /// Copies `buf.len()` raw stored data bytes starting at `addr` into
@@ -381,6 +509,7 @@ impl EccMemory {
         frame.data[off..off + LINE_BYTES].copy_from_slice(data);
         frame.codes[line * LINE_GROUPS..(line + 1) * LINE_GROUPS].copy_from_slice(codes);
         frame.dirty_lines &= !(1u64 << line);
+        self.held -= frame.release(1u64 << line);
     }
 
     /// Writes `buf` at `addr` and recomputes the stored code of every
@@ -393,6 +522,9 @@ impl EccMemory {
     /// Panics if the range exceeds physical memory.
     pub fn write_range_encoded(&mut self, addr: u64, buf: &[u8]) {
         self.check_range(addr, buf.len() as u64);
+        if buf.is_empty() {
+            return;
+        }
         let codec = self.codec;
         // Aligned single-line writes — the cache writeback and watch
         // disarm shape — skip the general frame walk entirely.
@@ -406,6 +538,7 @@ impl EccMemory {
             frame.data[off..off + LINE_BYTES].copy_from_slice(buf);
             frame.codes[line * LINE_GROUPS..(line + 1) * LINE_GROUPS].copy_from_slice(&codes);
             frame.dirty_lines &= !(1u64 << line);
+            self.held -= frame.release(1u64 << line);
             return;
         }
         let end = addr + buf.len() as u64;
@@ -449,13 +582,9 @@ impl EccMemory {
             // Every group of a fully re-encoded line is now consistent with
             // its code, so those lines are provably clean again.
             if line_lo < line_hi {
-                let mask = if line_hi - line_lo == LINES_PER_FRAME {
-                    u64::MAX
-                } else {
-                    ((1u64 << (line_hi - line_lo)) - 1) << line_lo
-                };
-                frame.dirty_lines &= !mask;
+                frame.dirty_lines &= !lines_mask(line_lo * LINE_BYTES, line_hi * LINE_BYTES);
             }
+            self.held -= frame.release(lines_mask(off, (hi - frame_addr) as usize));
             frame_addr += FRAME_BYTES;
         }
     }
@@ -469,6 +598,9 @@ impl EccMemory {
     /// Panics if the range exceeds physical memory.
     pub fn write_range_data_only(&mut self, addr: u64, buf: &[u8]) {
         self.check_range(addr, buf.len() as u64);
+        if buf.is_empty() {
+            return;
+        }
         let end = addr + buf.len() as u64;
         let mut frame_addr = addr & !(FRAME_BYTES - 1);
         while frame_addr < end {
@@ -479,11 +611,9 @@ impl EccMemory {
             frame.data[off..off + (hi - lo) as usize]
                 .copy_from_slice(&buf[(lo - addr) as usize..(hi - addr) as usize]);
             // Stored codes are now stale for every touched line.
-            let line_lo = off / LINE_BYTES;
-            let line_hi = ((hi - frame_addr) as usize - 1) / LINE_BYTES;
-            for line in line_lo..=line_hi {
-                frame.dirty_lines |= 1u64 << line;
-            }
+            let touched = lines_mask(off, (hi - frame_addr) as usize);
+            frame.dirty_lines |= touched;
+            self.held -= frame.release(touched);
             frame_addr += FRAME_BYTES;
         }
     }

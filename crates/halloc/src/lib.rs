@@ -50,6 +50,12 @@ use std::fmt;
 /// address space from [`HEAP_BASE`].
 pub const HEAP_BYTES: u64 = 1 << 28;
 
+/// The largest payload every [`LayoutPolicy`] places in an empty heap.
+/// [`PageGuard`](LayoutPolicy::PageGuard)'s two guard pages make it the
+/// widest layout; [`LinePadded`](LayoutPolicy::LinePadded) with up to 8 pad
+/// lines per side is narrower.
+pub const MAX_ALLOC_BYTES: u64 = HEAP_BYTES - 2 * PAGE_BYTES;
+
 /// Cache line size assumed by the line-based layouts. Matches the default
 /// machine configuration; the granularity ablation constructs heaps with an
 /// explicit [`Heap::with_line_size`].
@@ -749,6 +755,30 @@ mod tests {
             assert_eq!(h.stats(), HeapStats::default());
             assert_eq!(h.address_space().0, 0);
         }
+    }
+
+    #[test]
+    fn an_empty_heap_places_the_largest_allowed_payload_under_every_policy() {
+        let mut os = os();
+        let heaps = [
+            Heap::new(LayoutPolicy::Natural),
+            Heap::new(LayoutPolicy::LineAligned),
+            Heap::with_options(LayoutPolicy::LinePadded, LINE_BYTES, 1),
+            Heap::with_options(LayoutPolicy::LinePadded, LINE_BYTES, 2),
+            Heap::with_options(LayoutPolicy::LinePadded, LINE_BYTES, 4),
+            Heap::with_options(LayoutPolicy::LinePadded, LINE_BYTES, 8),
+            Heap::new(LayoutPolicy::PageGuard),
+        ];
+        for mut h in heaps {
+            let a = h.alloc(&mut os, MAX_ALLOC_BYTES).unwrap();
+            assert_eq!(a.payload, MAX_ALLOC_BYTES);
+            assert!(a.base + a.stride <= HEAP_BASE + HEAP_BYTES);
+        }
+        let mut h = Heap::new(LayoutPolicy::PageGuard);
+        assert_eq!(
+            h.alloc(&mut os, MAX_ALLOC_BYTES + 1).unwrap_err(),
+            AllocError::OutOfHeap
+        );
     }
 
     #[test]

@@ -296,19 +296,26 @@ impl Os {
     // ------------------------------------------------------------------
 
     /// After any translation, retire stale physical mappings of watched
-    /// lines whose pages were evicted (swap-aware policy only).
+    /// lines whose pages were evicted (swap-aware policy only), dropping
+    /// their holds: the frame no longer stores them.
     fn drain_evictions(&mut self) {
         let now = self.machine.clock().cycles();
+        let ls = self.line_size();
         for vpn in self.vm.take_evictions() {
             self.klog.push(now, KernelEvent::SwapOut { vpn });
-            self.watch
-                .for_each_line_in_page(vpn, |_, line, _| line.phys = None);
+            let ctl = self.machine.controller_mut();
+            self.watch.for_each_line_in_page(vpn, |_, line, _| {
+                if let Some(phys) = line.phys.take() {
+                    ctl.release_lines(phys, ls);
+                }
+            });
         }
     }
 
     /// Re-arms watched lines of a page that just became resident
     /// (swap-aware policy only).
     fn rearm_page(&mut self, vpn: u64) {
+        let hold = self.holds_armed_lines();
         let (vm, machine, scratch) = (&self.vm, &mut self.machine, &mut self.scramble_buf);
         self.watch
             .for_each_line_in_page(vpn, |vline, line, original| {
@@ -323,8 +330,19 @@ impl Os {
                 // the scramble recreates the stale-code mismatch.
                 Self::disarm_line_on(machine, phys, original, line.codes);
                 Self::arm_on(machine, phys, original, scratch);
+                if hold {
+                    machine.controller_mut().hold_lines(phys, [line.codes]);
+                }
                 line.phys = Some(phys);
             });
+    }
+
+    /// Whether freshly armed lines are declared held to the controller
+    /// (DESIGN.md §4.4): only 64-byte lines carry the codes a hold is
+    /// checked against, and only a scrubbing controller ever runs the
+    /// coordinated scrub cycle that skips them.
+    fn holds_armed_lines(&self) -> bool {
+        self.line_size() == 64 && self.machine.controller().mode().scrubs()
     }
 
     /// Performs the hardware scramble sequence on already-flushed, resident
@@ -719,6 +737,7 @@ impl Os {
         // Authoritative data may be dirty in cache: flush first, then read
         // the originals from memory.
         self.machine.flush_range(phys, lines * ls);
+        let hold = self.holds_armed_lines();
         let (original, records) = self.watch.push_segment(slot, phys, lines);
         self.machine.peek_into(phys, original);
         // The disarm fast path needs the ECC codes of each 64-byte line. A
@@ -738,6 +757,14 @@ impl Os {
             }
         }
         Self::arm_on(&mut self.machine, phys, original, &mut self.scramble_buf);
+        // A line armed over stale stored codes is not in its armed state:
+        // its codes differ from the recorded ones, so it stays unheld until
+        // a scrub cycle restores them.
+        if hold {
+            self.machine
+                .controller_mut()
+                .hold_lines(phys, records.iter().map(|r| r.codes));
+        }
         Ok(())
     }
 
@@ -870,17 +897,46 @@ impl Os {
     /// The scan itself is background work (excluded from process CPU time);
     /// the disarm/re-arm sequences are charged to the process, since it is
     /// blocked while the kernel performs them.
+    ///
+    /// A held line still stores its armed state, so restoring it and
+    /// re-scrambling it would leave memory as it is, and the scrubber skips
+    /// it just as it would skip the restored line. Its two writes are
+    /// charged without being performed. Only the other placed lines are
+    /// disarmed and re-armed, and they are held afterwards (DESIGN.md
+    /// §4.4).
     pub fn run_scrub_cycle(&mut self) {
         if !self.machine.controller().mode().scrubs() {
             return;
         }
-        // Disarm all lines (program blocked; CPU-charged), walking the
-        // registry's records and the machine side by side.
         let watched_lines = self.watch.line_count() as u64;
-        for (line, original) in self.watch.lines() {
-            if let Some(p) = line.phys {
-                Self::disarm_line_on(&mut self.machine, p, original, line.codes);
+        // A disabled controller neither encodes the restores nor scrubs;
+        // only the literal sequence reproduces that, so every line takes it.
+        let ctl = self.machine.controller();
+        let held = if ctl.is_enabled() {
+            ctl.memory().held_lines() as u64
+        } else {
+            0
+        };
+        let write_cycles = self.machine.cost().memory_write_cycles;
+        self.machine.controller_mut().account_held_restores(held);
+        self.machine.compute(2 * held * write_cycles);
+        let per_line = held != watched_lines;
+        let is_held = |machine: &Machine, phys: u64| {
+            held > 0 && machine.controller().memory().is_line_held(phys)
+        };
+        // Disarm the placed lines that are not held (program blocked;
+        // CPU-charged), walking the registry's records and the machine side
+        // by side.
+        if per_line {
+            let mut skipped = 0;
+            for (line, original) in self.watch.lines() {
+                match line.phys {
+                    Some(p) if is_held(&self.machine, p) => skipped += 1,
+                    Some(p) => Self::disarm_line_on(&mut self.machine, p, original, line.codes),
+                    None => {}
+                }
             }
+            debug_assert_eq!(skipped, held, "every held line is a placed watched line");
         }
         // Scrub everything resident (background).
         let groups = self.machine.controller().memory().resident_frames() as u64
@@ -890,10 +946,19 @@ impl Os {
         let scan_cycles = groups * self.machine.cost().scrub_group_cycles;
         self.machine.compute(scan_cycles);
         self.background_cycles += self.machine.clock().cycles() - before;
-        // Re-arm (CPU-charged).
-        for (line, original) in self.watch.lines() {
-            if let Some(p) = line.phys {
-                Self::arm_on(&mut self.machine, p, original, &mut self.scramble_buf);
+        // Re-arm (CPU-charged) and hold what was disarmed.
+        if per_line {
+            let hold = self.holds_armed_lines();
+            for (line, original) in self.watch.lines() {
+                match line.phys {
+                    Some(p) if !is_held(&self.machine, p) => {
+                        Self::arm_on(&mut self.machine, p, original, &mut self.scramble_buf);
+                        if hold {
+                            self.machine.controller_mut().hold_lines(p, [line.codes]);
+                        }
+                    }
+                    _ => {}
+                }
             }
         }
         self.stats.scrub_cycles += 1;
@@ -1150,6 +1215,41 @@ mod tests {
         let mut buf = [0u8; 64];
         os.vread(HEAP_BASE, &mut buf).unwrap();
         assert_eq!(buf, [3; 64]);
+    }
+
+    #[test]
+    fn scrub_cycles_hold_armed_lines_until_something_writes_them() {
+        let mut os = os();
+        os.vwrite(HEAP_BASE, &[3; 256]).unwrap();
+        os.watch_memory(HEAP_BASE, 64).unwrap();
+        let held = |os: &Os| os.machine().controller().memory().held_lines();
+        assert_eq!(held(&os), 0, "a controller that never scrubs holds nothing");
+        os.machine_mut()
+            .controller_mut()
+            .set_mode(EccMode::CorrectAndScrub);
+        os.watch_memory(HEAP_BASE + 128, 128).unwrap();
+        assert_eq!(held(&os), 2, "lines armed in a scrubbing mode are held");
+        os.run_scrub_cycle();
+        assert_eq!(held(&os), 3, "the cycle holds the line it re-armed");
+        let phys = os.vm.translate_resident(HEAP_BASE + 128).unwrap();
+        os.machine_mut().controller_mut().inject_data_error(phys, 9);
+        assert_eq!(held(&os), 2, "a flipped bit drops the hold");
+        let cpu = os.cpu_cycles();
+        os.run_scrub_cycle();
+        assert_eq!(held(&os), 3);
+        let write = os.machine().cost().memory_write_cycles;
+        assert_eq!(os.cpu_cycles() - cpu, 3 * 2 * write, "two writes per line");
+        // The flip was repaired by the restore: the line matches its
+        // signature again.
+        assert!(matches!(
+            os.vread(HEAP_BASE + 128, &mut [0u8; 1]),
+            Err(OsFault::Ecc(UserEccFault {
+                signature_ok: true,
+                ..
+            }))
+        ));
+        os.disable_watch_memory(HEAP_BASE + 128).unwrap();
+        assert_eq!(held(&os), 1, "the disarm drops the holds");
     }
 
     #[test]

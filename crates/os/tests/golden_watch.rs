@@ -18,6 +18,18 @@
 //! swap-aware evictions and swap-ins driven through `vread`/`vwrite`; and
 //! line sizes other than 64 bytes.
 //!
+//! A second transcript pins scrub coordination in `CorrectAndScrub` mode
+//! under both swap policies: explicit and scheduled scrub cycles with, in
+//! between, data-bit, code-bit and multi-bit injections into armed lines
+//! and their unwatched neighbours; a line armed over an injected code
+//! error; lines armed in `CorrectError` and scrubbed after the switch; DMA
+//! transfers and ECC-on controller writes over an armed line and a
+//! neighbour; unwatch and re-watch; a pinned-page cap rollback; a
+//! swap-aware eviction whose frame is reused by a page that takes an
+//! injection and a scrub before the watched page swaps back in; and 32-
+//! and 128-byte lines. After every cycle it loads each watched line, so
+//! the signature check's outcome is part of the record.
+//!
 //! Regenerate after an *intentional* change with:
 //! `UPDATE_GOLDEN=1 cargo test -p safemem-os --test golden_watch`
 
@@ -25,12 +37,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use safemem_cache::CacheConfig;
 use safemem_ecc::EccMode;
-use safemem_os::{Os, OsConfig, SwapPolicy, HEAP_BASE, PAGE_BYTES};
+use safemem_machine::{DmaEngine, DmaTransfer};
+use safemem_os::{Os, OsConfig, OsFault, SwapPolicy, HEAP_BASE, PAGE_BYTES};
 use std::fmt::Write as _;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/watch_transcript.txt"
+);
+const SCRUB_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/scrub_transcript.txt"
 );
 
 /// Records the machine's observable state after each step.
@@ -441,6 +458,379 @@ fn other_line_sizes(t: &mut Transcript) {
     }
 }
 
+/// Loads the first word of every watched line, in address order, and
+/// summarises the outcomes: `S` an access fault whose line matches the
+/// scramble signature, `X` a routed fault whose line does not (a hardware
+/// error on a watched line), `H` a kernel panic, `V` a segfault and `.` a
+/// load that succeeded. The controller's queued faults are drained and
+/// counted.
+fn load_watched(os: &mut Os) -> String {
+    let ls = os.line_size();
+    let mut outcomes = String::new();
+    for start in os.watch_registry_region_starts() {
+        let (_, size) = os.watched_region_containing(start).expect("a region");
+        outcomes.push(' ');
+        for line in (start..start + size).step_by(ls as usize) {
+            outcomes.push(match os.vread(line, &mut [0u8; 8]) {
+                Ok(()) => '.',
+                Err(OsFault::Ecc(user)) if user.signature_ok => 'S',
+                Err(OsFault::Ecc(_)) => 'X',
+                Err(OsFault::HardwareError { .. }) => 'H',
+                Err(OsFault::Segv { .. }) => 'V',
+            });
+        }
+    }
+    let faults = os.machine_mut().take_faults().len();
+    format!("[{} ] faults={faults}", outcomes.trim_end())
+}
+
+/// One explicit scrub cycle, then a load of every watched line.
+fn scrub_and_load(t: &mut Transcript, os: &mut Os, what: &str) {
+    os.run_scrub_cycle();
+    t.record(os, &format!("explicit scrub cycle ({what})"), "Ok");
+    let r = load_watched(os);
+    t.record(os, "load every watched line", &r);
+}
+
+/// Flushes the line at `vaddr` and flips a bit of its stored copy: `data`
+/// (bit 0..64), `code` (check bit 0..8) or `multi` (data bits 0 and 1).
+fn inject(t: &mut Transcript, os: &mut Os, kind: &str, vaddr: u64, bit: u8) {
+    let p = phys(os, vaddr);
+    os.machine_mut().flush_range(p & !63, 64);
+    let ctl = os.machine_mut().controller_mut();
+    match kind {
+        "data" => ctl.inject_data_error(p, bit),
+        "code" => ctl.inject_code_error(p, bit),
+        _ => ctl.inject_multi_bit_error(p),
+    }
+    t.record(os, &format!("inject {kind} bit {bit} at {vaddr:#x}"), "Ok");
+}
+
+/// Copies `len` bytes between the physical homes of two virtual
+/// addresses with a DMA engine, bypassing the caches.
+fn dma(t: &mut Transcript, os: &mut Os, src: u64, dst: u64, len: u64) {
+    let (src_p, dst_p) = (phys(os, src), phys(os, dst));
+    os.machine_mut().flush_range(src_p, len);
+    os.machine_mut().flush_range(dst_p, len);
+    let mut engine = DmaEngine::new();
+    engine.enqueue(DmaTransfer {
+        src: src_p,
+        dst: dst_p,
+        len,
+    });
+    let step = engine.run(os.machine_mut().controller_mut(), 16);
+    t.record(
+        os,
+        &format!("dma {src:#x} -> {dst:#x} +{len}"),
+        &format!("{step:?}"),
+    );
+}
+
+/// Scrub coordination with pinned watched pages: lines armed in both
+/// modes, over a stale code, and disturbed in every way the kernel does not
+/// see between cycles.
+fn scrub_pinned_script(t: &mut Transcript) {
+    t.phase("scrub coordination, pinned pages, 64-byte lines");
+    let mut os = Os::new(OsConfig {
+        phys_bytes: 32 * PAGE_BYTES,
+        scrub_interval_cycles: Some(1_000_000),
+        ..OsConfig::default()
+    });
+    os.register_ecc_fault_handler();
+    let mut rng = StdRng::seed_from_u64(0x5c2b_0418);
+    let page = |n: u64| HEAP_BASE + n * PAGE_BYTES;
+
+    let r = fill_pages(&mut os, &mut rng, 0, 12);
+    t.record(&os, "fill pages 0..12", &r);
+    os.context_switch();
+    t.record(&os, "context switch", "Ok");
+
+    // Armed in CorrectError: no scrub runs until the mode switches.
+    for (vaddr, size) in [(page(0) + 0x100, 64), (page(1) + 0x3c0, 0x100)] {
+        let r = show(&os.watch_memory(vaddr, size));
+        t.record(
+            &os,
+            &format!("watch {vaddr:#x} +{size:#x} (CorrectError)"),
+            &r,
+        );
+    }
+    os.run_scrub_cycle();
+    t.record(&os, "scrub cycle in CorrectError (no-op)", "Ok");
+    os.machine_mut()
+        .controller_mut()
+        .set_mode(EccMode::CorrectAndScrub);
+    t.record(&os, "switch to CorrectAndScrub", "Ok");
+    // A line armed over an injected code error keeps the stale code until
+    // a scrub cycle restores the recorded one.
+    inject(t, &mut os, "code", page(2) + 0x218, 5);
+    let r = show(&os.watch_memory(page(2) + 0x200, 128));
+    t.record(
+        &os,
+        "watch page 2 +0x200 +0x80 (first line over a stale code)",
+        &r,
+    );
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+    scrub_and_load(t, &mut os, "first in CorrectAndScrub");
+
+    // Armed in CorrectAndScrub.
+    for (vaddr, size) in [
+        (page(3) + 0x40, 0x200),
+        (page(4) + 0xfc0, 0x80),
+        (page(6), 64),
+        (page(6) + PAGE_BYTES - 64, 64),
+    ] {
+        let r = show(&os.watch_memory(vaddr, size));
+        t.record(&os, &format!("watch {vaddr:#x} +{size:#x}"), &r);
+    }
+    scrub_and_load(t, &mut os, "every line armed");
+    scrub_and_load(t, &mut os, "nothing changed");
+
+    // Injections into armed lines and their unwatched neighbours.
+    inject(t, &mut os, "data", page(3) + 0x88, 17);
+    inject(t, &mut os, "code", page(3) + 0x100, 2);
+    inject(t, &mut os, "multi", page(6) + 0x10, 0);
+    inject(t, &mut os, "data", page(3) + 0x248, 40);
+    inject(t, &mut os, "code", page(0) + 0xc0, 7);
+    inject(t, &mut os, "multi", page(4) + 0xf80, 0);
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+    scrub_and_load(t, &mut os, "after injections");
+    inject(t, &mut os, "data", page(5) + 0x20, 3);
+    inject(t, &mut os, "data", page(2) + 0x240, 63);
+    scrub_and_load(t, &mut os, "armed line and neighbour hit again");
+
+    // Scheduled cycles, driven by the program's own accesses.
+    for i in 0..5u64 {
+        os.compute(250_000);
+        let vaddr = page(8) + rng.gen_range(0..64u64) * 64;
+        let r = show(&os.vwrite(vaddr, &[i as u8; 24]));
+        t.record(&os, &format!("compute, write {vaddr:#x}"), &r);
+        if i == 2 {
+            inject(t, &mut os, "data", page(1) + 0x400, 30);
+        }
+    }
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+
+    // An ECC-on controller write over an armed line and over a neighbour
+    // makes the stored bytes consistent: loads succeed until a cycle
+    // re-arms the line.
+    for vaddr in [page(1) + 0x440, page(1) + 0x4c0] {
+        let p = phys(&os, vaddr);
+        os.machine_mut().flush_range(p, 64);
+        os.machine_mut().controller_mut().write(p, &[0x5a; 64]);
+        t.record(
+            &os,
+            &format!("ECC-on controller write {vaddr:#x} +64"),
+            "Ok",
+        );
+    }
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+    scrub_and_load(t, &mut os, "after the controller writes");
+
+    // DMA into an armed line and into a neighbour, and out of an armed
+    // line (the burst faults).
+    dma(t, &mut os, page(9), page(3) + 0xc0, 64);
+    dma(t, &mut os, page(9) + 0x40, page(3), 64);
+    dma(t, &mut os, page(6), page(9) + 0x100, 64);
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+    scrub_and_load(t, &mut os, "after DMA");
+
+    // Unwatch and re-watch, once over new data and once over the old.
+    let r = show(&os.disable_watch_memory(page(1) + 0x3c0));
+    t.record(&os, "unwatch page 1 +0x3c0", &r);
+    let r = show(&os.vwrite(page(1) + 0x3c0, &[0x77; 0x100]));
+    t.record(&os, "rewrite it", &r);
+    let r = show(&os.watch_memory(page(1) + 0x3c0, 0x100));
+    t.record(&os, "re-watch page 1 +0x3c0 +0x100", &r);
+    let r = show(&os.disable_watch_memory(page(6)));
+    t.record(&os, "unwatch page 6", &r);
+    let r = show(&os.watch_memory(page(6), 64));
+    t.record(&os, "re-watch page 6 +64", &r);
+    scrub_and_load(t, &mut os, "after re-watching");
+
+    // The pinned-page cap: the region's second page cannot be pinned, so
+    // the armed first page rolls back.
+    let pinned = os.vm().stats().pinned_pages;
+    os.vm_set_max_pinned(pinned + 1);
+    let r = show(&os.watch_memory(page(10) + 0xf00, 0x200));
+    t.record(&os, "watch 2 pages with room for 1 (rolls back)", &r);
+    os.vm_set_max_pinned(32);
+    scrub_and_load(t, &mut os, "after the rollback");
+    let r = show(&os.watch_memory(page(10) + 0xf00, 0x200));
+    t.record(&os, "watch the 2 pages under a raised cap", &r);
+    inject(t, &mut os, "data", page(11) + 0x40, 11);
+    scrub_and_load(t, &mut os, "second page of the new region hit");
+
+    // Unwatch everything and check the restored data scrubs clean.
+    for vaddr in os.watch_registry_region_starts().into_iter().rev() {
+        let r = show(&os.disable_watch_memory(vaddr));
+        t.record(&os, &format!("unwatch {vaddr:#x}"), &r);
+    }
+    scrub_and_load(t, &mut os, "nothing watched");
+    for vaddr in [page(3) + 0x80, page(6), page(1) + 0x440] {
+        let r = read(&mut os, vaddr, 64);
+        t.record(&os, &format!("load restored {vaddr:#x}"), &r);
+    }
+}
+
+/// Scrub coordination under the swap-aware extension: cycles with armed
+/// lines swapped out, and a frame that held armed lines reused by another
+/// page before the watched page comes back.
+fn scrub_swap_aware_script(t: &mut Transcript) {
+    t.phase("scrub coordination, swap-aware, 8 frames, 64-byte lines");
+    let mut os = Os::new(OsConfig {
+        phys_bytes: 8 * PAGE_BYTES,
+        swap_policy: SwapPolicy::SwapAware,
+        swap_io_ns: 50_000,
+        scrub_interval_cycles: Some(1_500_000),
+        ..OsConfig::default()
+    });
+    os.register_ecc_fault_handler();
+    let mut rng = StdRng::seed_from_u64(0x5c2b_5a9e);
+    let page = |n: u64| HEAP_BASE + n * PAGE_BYTES;
+
+    let r = fill_pages(&mut os, &mut rng, 0, 4);
+    t.record(&os, "fill pages 0..4", &r);
+    let r = show(&os.watch_memory(page(0) + 0x80, 64));
+    t.record(&os, "watch page 0 +0x80 +64 (CorrectError)", &r);
+    os.machine_mut()
+        .controller_mut()
+        .set_mode(EccMode::CorrectAndScrub);
+    t.record(&os, "switch to CorrectAndScrub", "Ok");
+    for (vaddr, size) in [
+        (page(0) + 0x400, 0x100),
+        (page(1) + 0xfc0, 0x80),
+        (page(2) + 0x200, 64),
+        (page(3) + 0x100, 0xc0),
+    ] {
+        let r = show(&os.watch_memory(vaddr, size));
+        t.record(&os, &format!("watch {vaddr:#x} +{size:#x}"), &r);
+    }
+    scrub_and_load(t, &mut os, "every line resident");
+
+    // Walk other pages until page 0 is evicted; the page that faulted in
+    // last took its frame.
+    let frame0 = phys(&os, page(0));
+    let mut n = 4;
+    while os.vm().is_resident(page(0)) {
+        let vaddr = page(n) + rng.gen_range(0..64u64) * 64;
+        let r = show(&os.vwrite(vaddr, &[n as u8; 32]));
+        t.record(&os, &format!("write {vaddr:#x}"), &r);
+        n += 1;
+    }
+    let reuser = (0..n)
+        .map(page)
+        .find(|&v| os.vm().translate_resident(v) == Some(frame0))
+        .expect("the evicted frame was reused");
+    t.record(&os, &format!("page 0's frame now backs {reuser:#x}"), "Ok");
+    // Hit the reused frame where page 0's armed lines were, then scrub.
+    inject(t, &mut os, "data", reuser + 0x408, 9);
+    inject(t, &mut os, "code", reuser + 0x480, 1);
+    scrub_and_load(t, &mut os, "page 0 swapped out, its frame reused");
+    let r = read(&mut os, reuser + 0x400, 16);
+    t.record(&os, "load the reused frame's repaired lines", &r);
+
+    // Evict the rest, scrub with lines swapped out, then injections into
+    // armed lines once they are back.
+    for k in n..n + 6 {
+        let vaddr = page(k) + rng.gen_range(0..64u64) * 64;
+        let r = read(&mut os, vaddr, 8);
+        t.record(&os, &format!("load {vaddr:#x}"), &r);
+    }
+    os.run_scrub_cycle();
+    t.record(
+        &os,
+        "explicit scrub cycle (watched pages swapped out)",
+        "Ok",
+    );
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line (swap-ins)", &r);
+    inject(t, &mut os, "data", page(1) + 0xfc8, 33);
+    inject(t, &mut os, "data", page(3) + 0x1c0, 4);
+    scrub_and_load(t, &mut os, "after injections");
+    for i in 0..4u64 {
+        os.compute(400_000);
+        let r = show(&os.vwrite(page(2) + 0x800 + i * 64, &[i as u8; 8]));
+        t.record(&os, "compute, write page 2 (scheduled scrubs)", &r);
+    }
+    let r = load_watched(&mut os);
+    t.record(&os, "load every watched line", &r);
+    for vaddr in os.watch_registry_region_starts() {
+        let r = show(&os.disable_watch_memory(vaddr));
+        t.record(&os, &format!("unwatch {vaddr:#x}"), &r);
+    }
+    scrub_and_load(t, &mut os, "nothing watched");
+    let r = read(&mut os, page(0) + 0x400, 64);
+    t.record(&os, "load restored data", &r);
+}
+
+/// Lines of 32 and 128 bytes in CorrectAndScrub: the re-encoding disarm.
+fn scrub_other_line_sizes(t: &mut Transcript) {
+    for line in [32u32, 128] {
+        t.phase(&format!(
+            "scrub coordination, pinned pages, {line}-byte lines"
+        ));
+        let mut os = Os::new(OsConfig {
+            phys_bytes: 16 * PAGE_BYTES,
+            caches: vec![
+                CacheConfig {
+                    line_size: line,
+                    sets: 32,
+                    ways: 4,
+                },
+                CacheConfig {
+                    line_size: line,
+                    sets: 64,
+                    ways: 8,
+                },
+            ],
+            ..OsConfig::default()
+        });
+        os.register_ecc_fault_handler();
+        os.machine_mut()
+            .controller_mut()
+            .set_mode(EccMode::CorrectAndScrub);
+        let mut rng = StdRng::seed_from_u64(u64::from(line) + 1);
+        let ls = u64::from(line);
+        let r = fill_pages(&mut os, &mut rng, 0, 3);
+        t.record(&os, "fill pages 0..3", &r);
+        let (a, b) = (HEAP_BASE + 3 * ls, HEAP_BASE + PAGE_BYTES - 2 * ls);
+        let r = show(&os.watch_memory(a, ls));
+        t.record(&os, &format!("watch {a:#x} +{ls}"), &r);
+        let r = show(&os.watch_memory(b, 4 * ls));
+        t.record(&os, &format!("watch {b:#x} +{}", 4 * ls), &r);
+        scrub_and_load(t, &mut os, "every line armed");
+        inject(t, &mut os, "data", a + 8, 21);
+        inject(t, &mut os, "code", b + ls, 6);
+        inject(t, &mut os, "data", a + ls, 2);
+        scrub_and_load(t, &mut os, "after injections");
+        let p = phys(&os, b);
+        os.machine_mut()
+            .controller_mut()
+            .write(p, &vec![0x3c; ls as usize]);
+        t.record(&os, "ECC-on controller write over an armed line", "Ok");
+        scrub_and_load(t, &mut os, "after the controller write");
+        for vaddr in [b, a] {
+            let r = show(&os.disable_watch_memory(vaddr));
+            t.record(&os, &format!("unwatch {vaddr:#x}"), &r);
+        }
+        let r = read(&mut os, b, 8);
+        t.record(&os, "load restored data", &r);
+    }
+}
+
+fn scrub_transcript() -> String {
+    let mut t = Transcript::new();
+    scrub_pinned_script(&mut t);
+    scrub_swap_aware_script(&mut t);
+    scrub_other_line_sizes(&mut t);
+    t.out
+}
+
 fn current_transcript() -> String {
     let mut t = Transcript::new();
     pinned_script(&mut t);
@@ -449,14 +839,14 @@ fn current_transcript() -> String {
     t.out
 }
 
-#[test]
-fn watch_transcript_matches_the_checked_in_golden() {
-    let current = current_transcript();
+/// Compares `current` with the golden file at `path`, or rewrites the file
+/// under `UPDATE_GOLDEN`.
+fn check_golden(path: &str, current: &str) {
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(GOLDEN_PATH, &current).expect("golden transcript is writable");
+        std::fs::write(path, current).expect("golden transcript is writable");
         return;
     }
-    let golden = std::fs::read_to_string(GOLDEN_PATH).expect(
+    let golden = std::fs::read_to_string(path).expect(
         "golden transcript exists; regenerate with \
          UPDATE_GOLDEN=1 cargo test -p safemem-os --test golden_watch",
     );
@@ -474,15 +864,41 @@ fn watch_transcript_matches_the_checked_in_golden() {
                 .join("\n")
         };
         panic!(
-            "the watch path drifted from the golden transcript at line {}.\n\
+            "the transcript drifted from the golden {path} at line {}.\n\
              If the change is intentional, regenerate with\n\
              UPDATE_GOLDEN=1 cargo test -p safemem-os --test golden_watch\n\
              and commit the diff.\n\n--- golden ---\n{}\n--- current ---\n{}",
             first + 1,
             context(&golden),
-            context(&current)
+            context(current)
         );
     }
+}
+
+#[test]
+fn watch_transcript_matches_the_checked_in_golden() {
+    check_golden(GOLDEN_PATH, &current_transcript());
+}
+
+#[test]
+fn scrub_transcript_matches_the_checked_in_golden() {
+    let current = scrub_transcript();
+    for needle in [
+        "[ S",
+        "X",
+        "Err(OutOfMemory)",
+        "Completed(",
+        "Faulted(",
+        "→ swap",
+        "← swap",
+        "scrub cycle",
+    ] {
+        assert!(
+            current.contains(needle),
+            "transcript never shows {needle:?}"
+        );
+    }
+    check_golden(SCRUB_GOLDEN_PATH, &current);
 }
 
 #[test]

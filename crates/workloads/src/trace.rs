@@ -17,7 +17,7 @@
 
 use crate::columnar::ColumnarTrace;
 use crate::driver::RunResult;
-use safemem_alloc::HEAP_BYTES;
+use safemem_alloc::MAX_ALLOC_BYTES;
 use safemem_core::{CallStack, IncidentClass, MemTool};
 use safemem_os::{Os, PAGE_BYTES};
 use std::collections::HashMap;
@@ -235,7 +235,8 @@ impl Trace {
     ///
     /// Every id must fit `u32` and name a buffer an earlier `M` line bound,
     /// which is what the replay engines rely on. An `M` size may not exceed
-    /// the heap ([`HEAP_BYTES`]), and an access span may not reach more
+    /// the largest payload every layout places in an empty heap
+    /// ([`MAX_ALLOC_BYTES`]), and an access span may not reach more
     /// than [`MAX_SPAN_OVERRUN`] bytes outside its buffer. A trace that
     /// breaks any of these rules is rejected, never replayed.
     ///
@@ -266,8 +267,10 @@ impl Trace {
             let op = match tag {
                 "M" => {
                     let size = number(&mut parts).ok_or_else(|| err("size"))?;
-                    if size > HEAP_BYTES {
-                        return Err(err(&format!("size exceeds the {HEAP_BYTES}-byte heap")));
+                    if size > MAX_ALLOC_BYTES {
+                        return Err(err(&format!(
+                            "size exceeds the {MAX_ALLOC_BYTES}-byte allocation limit"
+                        )));
                     }
                     let frames = parts
                         .map(|tok| u64::from_str_radix(tok.strip_prefix("0x").unwrap_or(tok), 16))
@@ -733,7 +736,7 @@ mod tests {
             ("M 100000000000 0x1".to_string(), "line 1: "),
             ("M 64 0x1\nR 0 4294967295 8".to_string(), "line 2: "),
             ("M 64 0x1\nW 0 0 4294967295 7".to_string(), "line 2: "),
-            (format!("M {}", HEAP_BYTES + 1), "line 1: "),
+            (format!("M {}", MAX_ALLOC_BYTES + 1), "line 1: "),
             (format!("M 64\nF 0\nRF 0 -{} 1", b + 1), "line 3: "),
             (format!("M 64\nWF 0 {} 8 1", 64 + b - 7), "line 2: "),
         ] {
@@ -741,7 +744,10 @@ mod tests {
             assert!(err.starts_with(line), "{text:?}: {err}");
         }
         // The bounds themselves are inclusive.
-        let edge = format!("M {HEAP_BYTES}\nM 64\nR 1 -{b} 8\nW 1 {} 8 1", 64 + b - 8);
+        let edge = format!(
+            "M {MAX_ALLOC_BYTES}\nM 64\nR 1 -{b} 8\nW 1 {} 8 1",
+            64 + b - 8
+        );
         assert_eq!(Trace::from_text(&edge).unwrap().len(), 4);
     }
 

@@ -1,9 +1,12 @@
 //! The `safemem-run` command line under hostile input: a request count
 //! that would keep an app looping for hours is refused at once with an
-//! error naming the flag and its limit, and any argv built from the flag
-//! vocabulary parses or fails cleanly within the limits.
+//! error naming the flag and its limit, a replayed malloc too large for
+//! every heap layout is refused with an error naming the line and the
+//! limit, and any argv built from the flag vocabulary parses or fails
+//! cleanly within the limits.
 
 use proptest::prelude::*;
+use safemem::alloc::MAX_ALLOC_BYTES;
 use safemem::cli::{usage, Cli};
 use safemem::faultinject::MAX_CAMPAIGN_REQUESTS;
 use std::process::Command;
@@ -31,6 +34,31 @@ fn oversized_request_counts_are_refused_promptly() {
             "names --requests and its limit {limit}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_heap_sized_malloc_is_refused_with_the_line_and_limit_named() {
+    // 256 MiB fits the heap but not PageGuard's or LinePadded's guards.
+    let dir = std::env::temp_dir().join(format!("safemem-run-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("heap-sized.trace");
+    std::fs::write(&path, "M 268435456\nF 0\n").expect("write trace");
+    let limit = MAX_ALLOC_BYTES.to_string();
+    for tool in ["pageguard", "safemem", "safemem-mc"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_safemem-run"))
+            .arg("--replay")
+            .arg(&path)
+            .args(["--tool", tool])
+            .output()
+            .expect("the run binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tool}: {stderr}");
+        assert!(
+            stderr.contains("line 1") && stderr.contains(&limit),
+            "{tool} names the line and the limit {limit}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 const FLAGS: &[&str] = &[
