@@ -18,7 +18,7 @@ use crate::mark::conservative_mark;
 use safemem_alloc::{Heap, LayoutPolicy};
 use safemem_core::{BugReport, CallStack, GroupKey, LeakKind, MemTool};
 use safemem_os::{AccessKind, Os};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::ops::Range;
 
 /// Cost calibration for the Purify model.
@@ -55,8 +55,12 @@ pub struct Purify {
     config: PurifyConfig,
     heap: Heap,
     shadow: HashMap<u64, ShadowInfo>,
-    /// Freed-but-not-reused placements: payload addr → (size, base).
-    freed: HashMap<u64, (u64, u64)>,
+    /// Freed-but-not-reused placements: payload addr → (size, base), in
+    /// address order. Their payloads are disjoint: the heap reuses a base
+    /// only for a placement of the same footprint and payload offset, and
+    /// the reuse drops the record. So the one payload that can contain an
+    /// address is the last one starting at or below it.
+    freed: BTreeMap<u64, (u64, u64)>,
     freed_by_base: HashMap<u64, u64>,
     /// Root ranges (in simulated memory) holding potential heap pointers.
     roots: Vec<Range<u64>>,
@@ -80,7 +84,7 @@ impl Purify {
             config,
             heap: Heap::new(LayoutPolicy::Natural),
             shadow: HashMap::new(),
-            freed: HashMap::new(),
+            freed: BTreeMap::new(),
             freed_by_base: HashMap::new(),
             roots: Vec::new(),
             reports: Vec::new(),
@@ -139,10 +143,10 @@ impl Purify {
         // Within a freed-but-not-reused placement?
         let hit_freed = self
             .freed
-            .iter()
-            .find(|(&fa, &(size, _))| addr >= fa && addr < fa + size)
-            .map(|(&fa, &(size, _))| (fa, size));
-        if let Some((fa, size)) = hit_freed {
+            .range(..=addr)
+            .next_back()
+            .filter(|(&fa, &(size, _))| addr < fa + size);
+        if let Some((&fa, &(size, _))) = hit_freed {
             self.reports.push(BugReport::UseAfterFree {
                 buffer_addr: fa,
                 buffer_size: size,
@@ -333,6 +337,7 @@ impl MemTool for Purify {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safemem_os::HEAP_BASE;
 
     fn setup() -> (Os, Purify, CallStack) {
         (
@@ -365,6 +370,75 @@ mod tests {
             .reports()
             .iter()
             .any(|r| matches!(r, BugReport::UseAfterFree { .. })));
+    }
+
+    #[test]
+    fn freed_lookup_matches_a_linear_scan_over_hundreds_of_blocks() {
+        use rand::{Rng, SeedableRng};
+        let (mut os, mut tool, stack) = setup();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xf3ee);
+        let sizes = [1, 8, 24, 40, 100, 256, 1000];
+        let mut live = Vec::new();
+        // Fill the heap, free most of it, then let new blocks reuse some
+        // freed placements (dropping their records) and free a few more.
+        for (allocs, frees) in [(1500, 1000), (300, 60)] {
+            for _ in 0..allocs {
+                let size = sizes[rng.gen_range(0..sizes.len())];
+                live.push(tool.malloc(&mut os, size, &stack));
+            }
+            for _ in 0..frees {
+                let addr = live.swap_remove(rng.gen_range(0..live.len()));
+                tool.free(&mut os, addr);
+            }
+        }
+        assert!(tool.freed.len() >= 500, "{} freed blocks", tool.freed.len());
+        // The lookup this replaces: the first freed payload found holding
+        // the address, in whatever order the records come.
+        let linear = |tool: &Purify, addr: u64| {
+            tool.freed
+                .iter()
+                .find(|(&fa, &(size, _))| addr >= fa && addr < fa + size)
+                .map(|(&fa, &(size, _))| (fa, size))
+        };
+        let edges: Vec<u64> = tool
+            .freed
+            .iter()
+            .flat_map(|(&fa, &(size, _))| [fa - 1, fa, fa + size - 1, fa + size])
+            .collect();
+        let span = tool
+            .heap
+            .live_allocations()
+            .map(|a| a.addr + a.payload)
+            .max()
+            .unwrap();
+        let random = (0..4000).map(|_| rng.gen_range(HEAP_BASE - 64..span + 64));
+        let mut use_after_free = 0;
+        for addr in edges.into_iter().chain(random) {
+            let expected = match tool.heap.allocation_containing(addr) {
+                Some(_) => None,
+                None => {
+                    linear(&tool, addr).map(|(buffer_addr, buffer_size)| BugReport::UseAfterFree {
+                        buffer_addr,
+                        buffer_size,
+                        access_vaddr: addr,
+                        access: AccessKind::Read,
+                    })
+                }
+            };
+            let before = tool.reports.len();
+            tool.check_access(&mut os, addr, 1, AccessKind::Read);
+            let reported: Vec<BugReport> = tool.reports[before..]
+                .iter()
+                .copied()
+                .filter(|r| matches!(r, BugReport::UseAfterFree { .. }))
+                .collect();
+            assert_eq!(reported, Vec::from_iter(expected), "access at {addr:#x}");
+            use_after_free += reported.len();
+        }
+        assert!(
+            use_after_free > 1000,
+            "{use_after_free} use-after-free reports"
+        );
     }
 
     #[test]

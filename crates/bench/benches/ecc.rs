@@ -1,8 +1,9 @@
 //! Microbenchmarks of the memory fast path: the table-driven codec, the
 //! bulk (frame-at-a-time) controller read/write streams, the cached-plan
 //! scrubber, and the cache hierarchy in front of them, timed through
-//! `Machine` (an L1 hit, a full miss that writes back a dirty L2 victim,
-//! and a fleet turn's working set followed by a full flush), and the
+//! `Machine` (an L1 hit, a full miss that writes back a dirty L2 victim, a
+//! full miss whose victims are clean, and a fleet turn's working set
+//! followed by a full flush), and the
 //! `WatchMemory`/`DisableWatchMemory` syscalls and scrub cycle SafeMem runs
 //! on nearly every allocation and free. These are the layers every
 //! simulated byte funnels through, so regressions here show up directly as
@@ -131,6 +132,24 @@ fn bench_cache(c: &mut Criterion) {
                 done += run;
             }
             elapsed
+        })
+    });
+
+    // The conservative scan's common case: the same streaming reads over
+    // a region of clean lines that nothing writes, so every read misses
+    // both levels, L1's victim moves down to L2 and L2's leaves without a
+    // writeback. The region is stored once, uncached, and an untimed pass
+    // fills the hierarchy before the stream starts past it.
+    let mut m = Machine::with_defaults(1 << 21);
+    m.write_uncached(0, &vec![0x5A; REGION as usize]);
+    for line in 0..resident {
+        m.read(line * LINE, &mut word).expect("clean memory");
+    }
+    let mut next = resident * LINE;
+    c.bench_function("cache/read_miss_clean_victim", |b| {
+        b.iter(|| {
+            m.read(black_box(next), &mut word).expect("clean memory");
+            next = (next + LINE) % REGION;
         })
     });
 

@@ -4,7 +4,9 @@
 //! live group population grows (the incremental schedule vs the full scan).
 //! The `scan/*` cases time the baselines' conservative heap scan in ns per
 //! word over a 512 KiB squid1-shaped heap: the per-word `read_u64` loop,
-//! the batched `Os::read_words`, and a whole Purify mark-and-sweep.
+//! the batched `Os::read_words` (also on the harsh preset's scrubbing
+//! stack, where page runs stop each time a scrub cycle falls due), and a
+//! whole Purify mark-and-sweep.
 //!
 //! Set `REPLAY_BENCH_JSON=<path>` to also emit the results as a JSON record —
 //! CI uploads it alongside the campaign and ECC bench artifacts.
@@ -105,11 +107,10 @@ fn bench_leak_check(c: &mut Criterion) {
 const SCAN_OBJECTS: u64 = 128;
 const SCAN_OBJECT_BYTES: u64 = 4096;
 
-/// A squid1-shaped heap under Purify: a root table whose cache slots point
-/// at 4 KiB objects half filled with data (one in eight leaked), an idle
-/// object and twelve small state objects.
-fn squid1_heap() -> (Os, Purify) {
-    let mut os = Os::with_defaults(1 << 23);
+/// A squid1-shaped heap under Purify on `os`: a root table whose cache
+/// slots point at 4 KiB objects half filled with data (one in eight
+/// leaked), an idle object and twelve small state objects.
+fn squid1_heap_on(mut os: Os) -> (Os, Purify) {
     let mut tool = Purify::new();
     let stack = CallStack::new(&[0x400_000, 2]);
     for i in 0..SCAN_OBJECTS {
@@ -128,6 +129,11 @@ fn squid1_heap() -> (Os, Purify) {
     }
     tool.add_root_range(STATIC_BASE, 4096);
     (os, tool)
+}
+
+/// [`squid1_heap_on`] a plain 8 MiB stack that never scrubs.
+fn squid1_heap() -> (Os, Purify) {
+    squid1_heap_on(Os::with_defaults(1 << 23))
 }
 
 /// Times `words` word reads over the cache objects, wrapping around them,
@@ -165,6 +171,13 @@ fn bench_scan(c: &mut Criterion) {
     });
     c.bench_function("scan/read_words", |b| {
         let (mut os, _) = squid1_heap();
+        b.iter_custom(|words| scan_words(&mut os, words, 512, Os::read_words));
+    });
+    // The harsh preset's stack: CorrectAndScrub with a coordinated scrub
+    // cycle due every 250k cycles, which the scan reaches every few
+    // thousand words.
+    c.bench_function("scan/read_words_scrubbing", |b| {
+        let (mut os, _) = squid1_heap_on(os_for(&CampaignSpec::harsh("gzip", 0)));
         b.iter_custom(|words| scan_words(&mut os, words, 512, Os::read_words));
     });
     // A whole mark-and-sweep, its time spread over the words it reads (the

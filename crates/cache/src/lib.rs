@@ -44,7 +44,7 @@
 //!     CacheConfig { line_size: 64, sets: 2, ways: 2 },
 //!     CacheConfig { line_size: 64, sets: 4, ways: 4 },
 //! ]);
-//! let mut t = Traffic::new(2);
+//! let mut t = Traffic::default();
 //! hier.write(0x100, &[1, 2, 3], &mut ram, &mut t).unwrap();
 //! let mut buf = [0u8; 3];
 //! hier.read(0x100, &mut buf, &mut ram, &mut t).unwrap();
@@ -182,38 +182,25 @@ pub struct LevelStats {
     pub evictions: u64,
 }
 
-/// Traffic produced by one access (or accumulated across several).
+/// The deepest hierarchy [`Hierarchy::new`] builds. [`Traffic`] keeps one
+/// counter per possible level in a fixed array, so a record is a plain
+/// value: made, charged and dropped on every access without a heap vector.
+pub const MAX_LEVELS: usize = 4;
+
+/// Traffic produced by one access (or accumulated across several);
+/// `Traffic::default()` is the empty record.
 ///
 /// The machine layer converts these counts into cycles.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Traffic {
-    /// Line accesses served by each level (index 0 = L1).
-    pub level_hits: Vec<u64>,
+    /// Line accesses served by each level (index 0 = L1); entries beyond
+    /// the hierarchy's depth stay zero.
+    pub level_hits: [u64; MAX_LEVELS],
     /// Full-line reads that went to memory (refills).
     pub memory_reads: u64,
     /// Full-line writes that went to memory (writebacks + flushes).
     pub memory_writes: u64,
-}
-
-impl Traffic {
-    /// An empty traffic record for a hierarchy with `levels` levels.
-    #[must_use]
-    pub fn new(levels: usize) -> Self {
-        Traffic {
-            level_hits: vec![0; levels],
-            memory_reads: 0,
-            memory_writes: 0,
-        }
-    }
-
-    /// Zeroes all counters in place, so one record can be reused across
-    /// accesses without reallocating the per-level vector.
-    pub fn reset(&mut self) {
-        self.level_hits.fill(0);
-        self.memory_reads = 0;
-        self.memory_writes = 0;
-    }
 }
 
 /// One way's tag and LRU stamp, side by side so that a set's ways share
@@ -293,21 +280,33 @@ impl CacheLevel {
     #[inline]
     fn touch(&mut self, line_addr: u64, hits: u64) -> Option<usize> {
         let slot = self.find(line_addr)?;
+        self.hit(slot, hits);
+        Some(slot)
+    }
+
+    /// [`touch`](Self::touch) of the line in `slot`.
+    #[inline]
+    fn hit(&mut self, slot: usize, hits: u64) {
         if hits > 0 {
             self.tick += 2 * hits;
             self.stats.hits += hits;
             self.way[slot].stamp = self.tick;
         }
-        Some(slot)
     }
 
     /// The slot a line of `line_addr` is installed into: an empty way of
-    /// its set if there is one, else the least recently used way.
+    /// its set if there is one, else the least recently used way (the
+    /// first of the lowest stamps, so the first empty way).
     #[inline]
     fn lru_slot(&self, line_addr: u64) -> usize {
         let (base, set) = self.set(line_addr);
-        let lru = set.iter().enumerate().min_by_key(|(_, w)| w.stamp);
-        base + lru.expect("a set has at least one way").0
+        let (mut lru, mut oldest) = (0, set[0].stamp);
+        for (w, way) in set.iter().enumerate().skip(1) {
+            if way.stamp < oldest {
+                (lru, oldest) = (w, way.stamp);
+            }
+        }
+        base + lru
     }
 
     #[inline]
@@ -396,8 +395,8 @@ impl Hierarchy {
     ///
     /// # Panics
     ///
-    /// Panics if `configs` is empty, any geometry is invalid, or line sizes
-    /// differ across levels.
+    /// Panics if `configs` is empty or deeper than [`MAX_LEVELS`], any
+    /// geometry is invalid, or line sizes differ across levels.
     #[must_use]
     pub fn new(configs: Vec<CacheConfig>) -> Self {
         Hierarchy::with_write_miss_policy(configs, WriteMissPolicy::WriteAllocate)
@@ -413,6 +412,11 @@ impl Hierarchy {
     #[must_use]
     pub fn with_write_miss_policy(configs: Vec<CacheConfig>, write_miss: WriteMissPolicy) -> Self {
         assert!(!configs.is_empty(), "hierarchy needs at least one level");
+        assert!(
+            configs.len() <= MAX_LEVELS,
+            "a cache hierarchy has at most {MAX_LEVELS} levels, not {}",
+            configs.len()
+        );
         let line_size = configs[0].line_size;
         for c in &configs {
             c.validate();
@@ -490,40 +494,49 @@ impl Hierarchy {
         addr & !(u64::from(self.line_size) - 1)
     }
 
-    /// Makes room at level `idx` for a line tagged `tag`, advancing the
-    /// level's tick for the install, and returns the slot for the caller to
-    /// fill. An LRU victim first moves one level down, making room there in
-    /// turn, or is written back if dirty when it leaves the last level:
-    /// victims are chosen top-down and moved bottom-up.
+    /// Makes room at L1 for a line tagged `tag`, advancing each visited
+    /// level's tick for its install, and returns the L1 slot for the caller
+    /// to fill. Victims are chosen in one top-down pass: each level's LRU
+    /// way, whose line then needs room one level down, until a level has an
+    /// empty way or the last level's victim leaves (written back if dirty).
+    /// They are then moved bottom-up, each into the slot freed below it.
     fn make_room<B: LineBacking + ?Sized>(
         &mut self,
-        idx: usize,
         tag: u64,
         backing: &mut B,
         traffic: &mut Traffic,
     ) -> usize {
-        let last = idx + 1 == self.levels.len();
-        let level = &mut self.levels[idx];
-        level.tick += 1;
-        let slot = level.lru_slot(tag);
-        let victim = level.way[slot];
-        if victim.stamp == EMPTY.stamp {
-            return slot;
-        }
-        level.stats.evictions += 1;
-        if last {
-            if level.dirty[slot] {
-                backing.write_line(victim.tag, level.line(slot));
-                traffic.memory_writes += 1;
+        let mut slots = [0usize; MAX_LEVELS];
+        let mut moves = 0;
+        let mut tag = tag;
+        let last = self.levels.len() - 1;
+        for (idx, level) in self.levels.iter_mut().enumerate() {
+            level.tick += 1;
+            let slot = level.lru_slot(tag);
+            slots[idx] = slot;
+            let victim = level.way[slot];
+            if victim.stamp == EMPTY.stamp {
+                break;
             }
-        } else {
-            let below = self.make_room(idx + 1, victim.tag, backing, traffic);
+            level.stats.evictions += 1;
+            if idx == last {
+                if level.dirty[slot] {
+                    backing.write_line(victim.tag, level.line(slot));
+                    traffic.memory_writes += 1;
+                }
+                break;
+            }
+            tag = victim.tag;
+            moves = idx + 1;
+        }
+        for idx in (0..moves).rev() {
             let (upper, lower) = self.levels.split_at_mut(idx + 1);
             let (from, to) = (&upper[idx], &mut lower[0]);
+            let (slot, below) = (slots[idx], slots[idx + 1]);
             to.line_mut(below).copy_from_slice(from.line(slot));
-            to.fill(below, victim.tag, from.dirty[slot]);
+            to.fill(below, from.way[slot].tag, from.dirty[slot]);
         }
-        slot
+        slots[0]
     }
 
     /// Installs the line waiting in `line_buf` at L1, cascading victims
@@ -535,7 +548,7 @@ impl Hierarchy {
         backing: &mut B,
         traffic: &mut Traffic,
     ) -> usize {
-        let slot = self.make_room(0, line_addr, backing, traffic);
+        let slot = self.make_room(line_addr, backing, traffic);
         let l1 = &mut self.levels[0];
         l1.line_mut(slot).copy_from_slice(&self.line_buf);
         l1.fill(slot, line_addr, dirty);
@@ -618,39 +631,73 @@ impl Hierarchy {
         Ok(())
     }
 
-    /// Serves `reads` back-to-back reads that all hit the L1-resident line
-    /// containing `addr`, in one step, and copies `[addr, addr +
-    /// buf.len())` into `buf`.
+    /// Serves back-to-back reads of `width` bytes each at `addr`, `addr +
+    /// width`, ... into consecutive chunks of `buf` (which stays in one
+    /// line), probing L1 once. The first read is an ordinary demand read:
+    /// an L1 hit, or a miss that brings the line into L1 and may prefetch
+    /// the next one. Each further read is an L1 hit on the same line, up to
+    /// the bound `max_hits` returns when given the traffic so far (after
+    /// the demand read). They stop early if the demand read's prefetch
+    /// evicted the line from L1.
     ///
-    /// The effect equals `reads` calls of [`Hierarchy::read`] that each hit
-    /// that line in L1: L1's tick advances by `2 * reads`, the line's LRU
-    /// stamp takes the final tick, and `reads` hits are recorded in L1's
-    /// stats and in `traffic`; `reads == 0` changes nothing. Returns
-    /// `false`, changing nothing, if the line is not resident in L1. Hits
-    /// never reach memory, so no backing is needed.
+    /// The effect equals [`Hierarchy::read`] of each of the first `1 + k`
+    /// chunks in turn, where `k` is the bound (capped at the reads `buf`
+    /// holds), or `0` if the line left L1: each hit advances L1's tick by
+    /// two, the line's LRU stamp takes the final tick, and every hit is
+    /// counted in L1's stats and in `traffic`. Returns the number of reads
+    /// served, `1 + k`, whose bytes are in `buf[..(1 + k) * width]`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the backing's error from a faulted refill; no read was
+    /// then served.
     ///
     /// # Panics
     ///
-    /// Panics if `[addr, addr + buf.len())` leaves the line.
-    pub fn read_l1_repeated(
+    /// Panics if `width` is zero, `buf` is empty or not a multiple of
+    /// `width` long, or `[addr, addr + buf.len())` leaves the line.
+    pub fn read_run<B: LineBacking + ?Sized>(
         &mut self,
         addr: u64,
         buf: &mut [u8],
-        reads: u64,
+        width: usize,
+        max_hits: impl FnOnce(&Traffic) -> u64,
+        backing: &mut B,
         traffic: &mut Traffic,
-    ) -> bool {
+    ) -> Result<usize, B::Error> {
         let line_addr = self.line_addr(addr);
         let lo = (addr - line_addr) as usize;
         assert!(
-            lo + buf.len() <= self.line_size as usize,
-            "read_l1_repeated span leaves the line"
+            width > 0 && !buf.is_empty() && buf.len().is_multiple_of(width),
+            "read_run needs whole reads"
         );
-        let Some(slot) = self.levels[0].touch(line_addr, reads) else {
-            return false;
+        assert!(
+            lo + buf.len() <= self.line_size as usize,
+            "read_run span leaves the line"
+        );
+        let further = (buf.len() / width - 1) as u64;
+        let (slot, hits) = if let Some(slot) = self.levels[0].find(line_addr) {
+            traffic.level_hits[0] += 1;
+            let hits = max_hits(traffic).min(further);
+            self.levels[0].hit(slot, 1 + hits);
+            (slot, hits)
+        } else {
+            let (slot, from_memory) = self.ensure_in_l1(line_addr, backing, traffic)?;
+            if from_memory {
+                buf[..width].copy_from_slice(&self.levels[0].line(slot)[lo..lo + width]);
+                self.maybe_prefetch(line_addr + u64::from(self.line_size), backing, traffic);
+                if self.levels[0].way[slot].tag != line_addr {
+                    return Ok(1);
+                }
+            }
+            let hits = max_hits(traffic).min(further);
+            self.levels[0].hit(slot, hits);
+            (slot, hits)
         };
-        buf.copy_from_slice(&self.levels[0].line(slot)[lo..lo + buf.len()]);
-        traffic.level_hits[0] += reads;
-        true
+        traffic.level_hits[0] += hits;
+        let served = (1 + hits as usize) * width;
+        buf[..served].copy_from_slice(&self.levels[0].line(slot)[lo..lo + served]);
+        Ok(1 + hits as usize)
     }
 
     /// Next-line prefetch after a demand miss. A failed refill (ECC fault)
@@ -868,7 +915,7 @@ mod tests {
     fn read_after_write_same_line() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         h.write(100, &[9, 8, 7], &mut ram, &mut t).unwrap();
         let mut buf = [0u8; 3];
         h.read(100, &mut buf, &mut ram, &mut t).unwrap();
@@ -882,7 +929,7 @@ mod tests {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
         ram.0[0..4].copy_from_slice(&[1, 2, 3, 4]);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         let mut buf = [0u8; 4];
         h.read(0, &mut buf, &mut ram, &mut t).unwrap();
         assert_eq!(t.memory_reads, 1);
@@ -897,7 +944,7 @@ mod tests {
         // L1: 2 sets x 2 ways; lines mapping to set 0 are multiples of 128.
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         // Fill set 0 of L1 and L2 beyond capacity with dirty lines:
         // 2 (L1) + 2 (L2 set) → the 5th+ dirty line forces a memory write.
         for i in 0..8u64 {
@@ -917,7 +964,7 @@ mod tests {
     fn promote_on_l2_hit_is_exclusive() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         // Load three lines of the same L1 set: the first spills to L2.
         for i in 0..3u64 {
             let mut b = [0u8; 1];
@@ -937,7 +984,7 @@ mod tests {
     fn flush_line_writes_back_and_invalidates() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         h.write(64, &[0xAB; 8], &mut ram, &mut t).unwrap();
         assert!(
             h.flush_line(70, &mut ram, &mut t),
@@ -956,7 +1003,7 @@ mod tests {
     fn flush_clean_line_is_not_a_writeback() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         let mut b = [0u8; 1];
         h.read(0, &mut b, &mut ram, &mut t).unwrap();
         assert!(!h.flush_line(0, &mut ram, &mut t));
@@ -967,7 +1014,7 @@ mod tests {
     fn flush_range_covers_partial_lines() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         h.write(60, &[1; 10], &mut ram, &mut t).unwrap(); // straddles lines 0 and 64
         let wb = h.flush_range(60, 10, &mut ram, &mut t);
         assert_eq!(wb, 2);
@@ -982,7 +1029,7 @@ mod tests {
             ram: Ram::new(1 << 16),
             poisoned: [64u64].into_iter().collect(),
         };
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         let mut b = [0u8; 1];
         assert_eq!(h.read(64, &mut b, &mut ram, &mut t), Err(64));
         assert_eq!(h.residency(64), None, "faulted line must not be cached");
@@ -999,7 +1046,7 @@ mod tests {
             ram: Ram::new(1 << 16),
             poisoned: [128u64].into_iter().collect(),
         };
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         // A store to a poisoned (watched) line faults via write-allocate.
         assert_eq!(h.write(130, &[1], &mut ram, &mut t), Err(128));
     }
@@ -1008,7 +1055,7 @@ mod tests {
     fn flush_all_empties_hierarchy() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         for i in 0..6u64 {
             h.write(i * 64, &[i as u8], &mut ram, &mut t).unwrap();
         }
@@ -1050,6 +1097,64 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at most 4 levels, not 5")]
+    fn hierarchies_deeper_than_the_traffic_record_are_rejected() {
+        let level = CacheConfig {
+            line_size: 64,
+            sets: 2,
+            ways: 2,
+        };
+        assert_eq!(Hierarchy::new(vec![level; MAX_LEVELS]).num_levels(), 4);
+        let _ = Hierarchy::new(vec![level; MAX_LEVELS + 1]);
+    }
+
+    #[test]
+    fn read_run_stops_where_the_prefetch_evicts_the_line() {
+        // A one-set, one-way L1: the prefetch of line 64 after the demand
+        // miss of line 0 evicts line 0 to L2, so the run serves only the
+        // demand read, and the next read of line 0 is an L2 hit.
+        let configs = vec![
+            CacheConfig {
+                line_size: 64,
+                sets: 1,
+                ways: 1,
+            },
+            CacheConfig {
+                line_size: 64,
+                sets: 4,
+                ways: 2,
+            },
+        ];
+        let mut h = Hierarchy::new(configs.clone());
+        h.set_prefetch(true);
+        let mut ram = Ram::new(1 << 12);
+        ram.0[..64].copy_from_slice(&[5; 64]);
+        let mut t = Traffic::default();
+        let mut buf = [0u8; 32];
+        assert_eq!(
+            h.read_run(8, &mut buf, 8, |_| u64::MAX, &mut ram, &mut t),
+            Ok(1)
+        );
+        assert_eq!(buf[..8], [5; 8]);
+        assert_eq!(h.residency(0), Some(1));
+        assert_eq!(h.residency(64), Some(0));
+        // Without the prefetcher the same run serves every read.
+        let mut h = Hierarchy::new(configs);
+        let mut t = Traffic::default();
+        assert_eq!(
+            h.read_run(8, &mut buf, 8, |_| u64::MAX, &mut ram, &mut t),
+            Ok(4)
+        );
+        assert_eq!(buf, [5; 32]);
+        assert_eq!(t.level_hits[0], 3);
+        // The bound sees the demand read's traffic.
+        assert_eq!(
+            h.read_run(0, &mut buf, 8, |t| t.level_hits[0] - 3, &mut ram, &mut t),
+            Ok(2)
+        );
+    }
+
+    #[test]
     fn no_write_allocate_bypasses_cache_on_miss() {
         let mut h = Hierarchy::with_write_miss_policy(
             vec![CacheConfig {
@@ -1060,7 +1165,7 @@ mod tests {
             WriteMissPolicy::NoWriteAllocate,
         );
         let mut ram = Ram::new(1 << 12);
-        let mut t = Traffic::new(1);
+        let mut t = Traffic::default();
         h.write(100, &[1, 2, 3], &mut ram, &mut t).unwrap();
         assert_eq!(h.residency(100), None, "miss store must not allocate");
         assert_eq!(
@@ -1094,7 +1199,7 @@ mod tests {
             ram: Ram::new(1 << 12),
             poisoned: [64u64].into_iter().collect(),
         };
-        let mut t = Traffic::new(1);
+        let mut t = Traffic::default();
         // write_through in the test backing defaults to checked RMW, which
         // would fault; the real controller's override does not. Model the
         // real behaviour: an unchecked store succeeds silently.
@@ -1142,7 +1247,7 @@ mod tests {
             ram: Ram::new(1 << 12),
             poisoned: [128u64].into_iter().collect(), // line 2 is "watched"
         };
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         // Demand-miss line 0 → prefetch line 1 succeeds.
         let mut b = [0u8; 1];
         h.read(0, &mut b, &mut ram, &mut t).unwrap();
@@ -1161,9 +1266,9 @@ mod tests {
     }
 
     #[test]
-    fn read_l1_repeated_equals_separate_word_reads() {
+    fn read_run_equals_separate_word_reads() {
         // Two hierarchies with the same history; on one, a line then takes
-        // k separate 8-byte reads, on the other one bulk step of k reads.
+        // k separate 8-byte reads, on the other one read run of k reads.
         // Everything after must agree: data, traffic, stats, and which line
         // the set evicts next.
         let setup = || {
@@ -1172,7 +1277,7 @@ mod tests {
             for (i, b) in ram.0.iter_mut().enumerate() {
                 *b = (i % 251) as u8;
             }
-            let mut t = Traffic::new(2);
+            let mut t = Traffic::default();
             let mut b = [0u8; 8];
             // Lines 0 and 128 share L1 set 0 (2 ways); 0 is the LRU one.
             h.read(0, &mut b, &mut ram, &mut t).unwrap();
@@ -1181,7 +1286,7 @@ mod tests {
         };
         let k = 5u64;
         let (mut separate, mut ram_a) = setup();
-        let mut ta = Traffic::new(2);
+        let mut ta = Traffic::default();
         let mut words = Vec::new();
         for i in 0..k {
             let mut b = [0u8; 8];
@@ -1191,9 +1296,10 @@ mod tests {
             words.extend_from_slice(&b);
         }
         let (mut bulk, mut ram_b) = setup();
-        let mut tb = Traffic::new(2);
+        let mut tb = Traffic::default();
         let mut bytes = vec![0u8; 8 * k as usize];
-        assert!(bulk.read_l1_repeated(8, &mut bytes, k, &mut tb));
+        let served = bulk.read_run(8, &mut bytes, 8, |_| u64::MAX, &mut ram_b, &mut tb);
+        assert_eq!(served, Ok(k as usize));
         assert_eq!(bytes, words);
         assert_eq!(ta, tb);
         assert_eq!(separate.level_stats(), bulk.level_stats());
@@ -1213,11 +1319,14 @@ mod tests {
         assert_eq!(bulk.residency(128), Some(1));
         assert_eq!(separate.level_stats(), bulk.level_stats());
         assert_eq!(ta, tb);
-        // A line not in L1 is refused without side effects.
-        let before = bulk.level_stats();
-        assert!(!bulk.read_l1_repeated(128, &mut [0u8; 8], 1, &mut tb));
-        assert_eq!(bulk.level_stats(), before);
-        assert_eq!(bulk.residency(128), Some(1));
+        // A line in L2 takes its demand read as an L2 hit, then L1 hits.
+        let served = bulk.read_run(128, &mut bytes[..16], 8, |_| 1, &mut ram_b, &mut tb);
+        assert_eq!(served, Ok(2));
+        assert_eq!(bulk.residency(128), Some(0));
+        assert_eq!(
+            tb.level_hits,
+            [ta.level_hits[0] + 1, ta.level_hits[1] + 1, 0, 0]
+        );
     }
 
     #[test]
@@ -1229,41 +1338,43 @@ mod tests {
             ram: Ram::new(1 << 12),
             poisoned: [64u64].into_iter().collect(),
         };
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         assert_eq!(h.read(0x41, &mut [], &mut ram, &mut t), Ok(()));
         assert_eq!(h.write(0x50, &[], &mut ram, &mut t), Ok(()));
         assert_eq!(h.read(0x101, &mut [], &mut ram, &mut t), Ok(()));
-        assert_eq!(t, Traffic::new(2));
+        assert_eq!(t, Traffic::default());
         assert_eq!(h.level_stats(), vec![LevelStats::default(); 2]);
         assert_eq!(h.residency(0x101), None);
     }
 
     #[test]
-    fn zero_repeated_reads_change_nothing() {
+    fn a_zero_bound_serves_only_the_demand_read() {
         // L1 set 0 (2 ways) ends up holding C (line 256) and A (line 0),
-        // with A the least recently used. Zero repeated reads of A must not
-        // refresh it, so the next fill of the set still evicts A.
+        // with A the least recently used. A run on A bounded to zero hits
+        // is one plain read of A: A becomes the most recently used, so the
+        // next fill of the set evicts C.
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         let mut b = [0u8; 1];
         for addr in [0, 128, 256, 0, 256] {
             h.read(addr, &mut b, &mut ram, &mut t).unwrap();
         }
-        let (stats, traffic) = (h.level_stats(), t.clone());
-        assert!(h.read_l1_repeated(0, &mut b, 0, &mut t));
-        assert_eq!(h.level_stats(), stats);
-        assert_eq!(t, traffic);
+        let (stats, hits) = (h.level_stats(), t.level_hits[0]);
+        let mut words = [0u8; 16];
+        assert_eq!(h.read_run(0, &mut words, 8, |_| 0, &mut ram, &mut t), Ok(1));
+        assert_eq!(h.level_stats()[0].hits, stats[0].hits + 1);
+        assert_eq!(t.level_hits[0], hits + 1);
         h.read(384, &mut b, &mut ram, &mut t).unwrap();
-        assert_eq!(h.residency(0), Some(1), "A was still the LRU line");
-        assert_eq!(h.residency(256), Some(0));
+        assert_eq!(h.residency(0), Some(0), "A was refreshed");
+        assert_eq!(h.residency(256), Some(1));
     }
 
     #[test]
     fn stats_accumulate() {
         let mut h = small();
         let mut ram = Ram::new(1 << 16);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         let mut b = [0u8; 1];
         h.read(0, &mut b, &mut ram, &mut t).unwrap();
         h.read(0, &mut b, &mut ram, &mut t).unwrap();

@@ -2,7 +2,9 @@
 //! Vec-of-sets reference model in `naive/`. Both are driven with the same
 //! random op sequences over 1-, 2- and 3-level geometries, 32-, 64- and
 //! 128-byte lines, both write-miss policies, the prefetcher on or off, and
-//! a backing whose poisoned lines fail every read. After every op the two
+//! a backing whose poisoned lines fail every read. One geometry has a
+//! one-set, one-way L1, where the prefetch after a demand miss evicts the
+//! line just read, cutting a one-call line read short. After every op the two
 //! must agree on the op's bytes and result, the traffic, the per-level
 //! stats, the prefetch stats, the residency of every line, and the
 //! backing's contents.
@@ -27,18 +29,38 @@ const GEOMETRIES: &[&[(u32, u32)]] = &[
     &[(2, 2), (4, 2)],
     &[(2, 1), (1, 3), (4, 2)],
     &[(4, 4), (16, 5)],
+    &[(1, 1), (2, 2)],
 ];
 
 const LINE_SIZES: &[u32] = &[32, 64, 128];
 
 #[derive(Debug, Clone)]
 enum Op {
-    Read { addr: u64, len: usize },
-    Write { addr: u64, len: usize, fill: u8 },
-    FlushLine { addr: u64 },
-    FlushRange { addr: u64, len: u64 },
+    Read {
+        addr: u64,
+        len: usize,
+    },
+    Write {
+        addr: u64,
+        len: usize,
+        fill: u8,
+    },
+    FlushLine {
+        addr: u64,
+    },
+    FlushRange {
+        addr: u64,
+        len: u64,
+    },
     FlushAll,
-    ReadL1Repeated { addr: u64, len: usize, reads: u64 },
+    /// A one-call line read of up to `reads` reads of `width` bytes, the
+    /// repeated hits bounded by `cap` less a traffic-dependent amount.
+    ReadRun {
+        addr: u64,
+        width: usize,
+        reads: usize,
+        cap: u64,
+    },
 }
 
 /// Half the addresses fall in a hot 512-byte window so that ops hit as
@@ -58,10 +80,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         addr_strategy().prop_map(|addr| Op::FlushLine { addr }),
         (addr_strategy(), 0u64..256).prop_map(|(addr, len)| Op::FlushRange { addr, len }),
         Just(Op::FlushAll),
-        (addr_strategy(), 0usize..16, 0u64..4).prop_map(|(addr, len, reads)| Op::ReadL1Repeated {
-            addr,
-            len,
-            reads
+        (addr_strategy(), 0u32..4, 1usize..20, 0u64..24).prop_map(|(addr, w, reads, cap)| {
+            Op::ReadRun {
+                addr,
+                width: 1 << w,
+                reads,
+                cap,
+            }
         }),
     ]
 }
@@ -135,12 +160,24 @@ macro_rules! apply {
                 h.flush_all(ram, t);
                 Outcome::Count(0)
             }
-            Op::ReadL1Repeated { addr, len, reads } => {
-                // Keep the span inside the line, as the method requires.
-                let len = len.min(($line_size - addr % $line_size) as usize);
-                let mut buf = vec![0u8; len];
-                let hit = h.read_l1_repeated(addr, &mut buf, reads, t);
-                Outcome::Bytes(if hit { Ok(buf) } else { Err(u64::MAX) })
+            Op::ReadRun {
+                addr,
+                width,
+                reads,
+                cap,
+            } => {
+                // Align to the width and keep the reads inside the line.
+                let addr = addr - addr % width as u64;
+                let reads = reads.min((($line_size - addr % $line_size) / width as u64) as usize);
+                let mut buf = vec![0u8; reads * width];
+                let bound = |t: &Traffic| cap.saturating_sub(t.memory_reads % 5);
+                Outcome::Bytes(
+                    h.read_run(addr, &mut buf, width, bound, ram, t)
+                        .map(|served| {
+                            buf.truncate(served * width);
+                            buf
+                        }),
+                )
             }
         }
     }};
@@ -171,17 +208,16 @@ proptest! {
         } else {
             WriteMissPolicy::WriteAllocate
         };
-        let levels = configs.len();
         let ram = PoisonedRam::new(&poisoned);
         let mut flat = Side {
             h: Hierarchy::with_write_miss_policy(configs.clone(), policy),
             ram: ram.clone(),
-            t: Traffic::new(levels),
+            t: Traffic::default(),
         };
         let mut naive = Side {
             h: NaiveHierarchy::with_write_miss_policy(configs, policy),
             ram,
-            t: Traffic::new(levels),
+            t: Traffic::default(),
         };
         flat.h.set_prefetch(prefetch);
         flat.h.set_prefetch_limit(MEM);

@@ -245,7 +245,7 @@ impl NaiveHierarchy {
         Ok(())
     }
 
-    pub fn read_l1_repeated(
+    fn read_l1_repeated(
         &mut self,
         addr: u64,
         buf: &mut [u8],
@@ -260,6 +260,27 @@ impl NaiveHierarchy {
         buf.copy_from_slice(&line.data[lo..lo + buf.len()]);
         traffic.level_hits[0] += reads;
         true
+    }
+
+    /// A demand read of the first `width` bytes, then, while the line is
+    /// still in L1, `max_hits` repeated L1 reads of the following chunks.
+    pub fn read_run<B: LineBacking + ?Sized>(
+        &mut self,
+        addr: u64,
+        buf: &mut [u8],
+        width: usize,
+        max_hits: impl FnOnce(&Traffic) -> u64,
+        backing: &mut B,
+        traffic: &mut Traffic,
+    ) -> Result<usize, B::Error> {
+        self.read(addr, &mut buf[..width], backing, traffic)?;
+        if self.residency(addr) != Some(0) {
+            return Ok(1);
+        }
+        let hits = max_hits(traffic).min((buf.len() / width - 1) as u64);
+        let served = (1 + hits as usize) * width;
+        self.read_l1_repeated(addr + width as u64, &mut buf[width..served], hits, traffic);
+        Ok(1 + hits as usize)
     }
 
     fn maybe_prefetch<B: LineBacking + ?Sized>(

@@ -64,7 +64,7 @@ proptest! {
         let mut h = tiny_hierarchy(64);
         let mut ram = Ram(vec![0u8; 4096]);
         let mut shadow = vec![0u8; 4096];
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         for op in &ops {
             match op {
                 Op::Read { addr, len } => {
@@ -98,7 +98,7 @@ proptest! {
         let mut h = tiny_hierarchy(line_size);
         let mut ram = Ram(vec![0u8; 2048]);
         let mut shadow = vec![0u8; 2048];
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         for op in &ops {
             match op {
                 Op::Read { addr, len } => {
@@ -125,7 +125,7 @@ proptest! {
     fn prop_flush_forces_memory_access(addr in 0u64..3800) {
         let mut h = tiny_hierarchy(64);
         let mut ram = Ram(vec![0u8; 4096]);
-        let mut t = Traffic::new(2);
+        let mut t = Traffic::default();
         h.write(addr, &[1, 2, 3], &mut ram, &mut t).unwrap();
         h.flush_line(addr, &mut ram, &mut t);
         let before = t.memory_reads;

@@ -334,6 +334,23 @@ impl EccMemory {
         )
     }
 
+    /// Copies the aligned line at `addr` into `out` and returns `true` if
+    /// its dirty bit is clear, so every group of it decodes clean; an
+    /// untouched frame reads as zeros. Returns `false`, copying nothing,
+    /// for a dirty line.
+    pub(crate) fn read_line_if_clean(&self, addr: u64, out: &mut [u8; LINE_BYTES]) -> bool {
+        debug_assert!(addr.is_multiple_of(LINE_BYTES as u64), "line-aligned");
+        let off = (addr % FRAME_BYTES) as usize;
+        match self.frames[Self::frame_index(addr)].as_deref() {
+            None => out.fill(0),
+            Some(frame) if frame.dirty_lines & (1u64 << (off / LINE_BYTES)) == 0 => {
+                out.copy_from_slice(&frame.data[off..off + LINE_BYTES]);
+            }
+            Some(_) => return false,
+        }
+        true
+    }
+
     /// Records that every group of the frame outside its held lines has
     /// been verified clean (the scrubber calls this after a full-frame pass
     /// found and repaired every inconsistency). Held lines stay dirty.

@@ -100,21 +100,6 @@ impl CostModel {
     pub fn cycles_to_micros(&self, cycles: u64) -> f64 {
         cycles as f64 / self.cpu_hz as f64 * 1e6
     }
-
-    /// Total cycle cost of one access's accumulated cache traffic:
-    /// per-level hit latencies plus DRAM refills and writebacks. Charging
-    /// once per access (however many lines it spanned) rather than per line
-    /// is exact — the cost is linear in the counters.
-    #[must_use]
-    pub fn traffic_cycles(&self, traffic: &safemem_cache::Traffic) -> u64 {
-        let mut cycles = 0;
-        for (level, &hits) in traffic.level_hits.iter().enumerate() {
-            cycles += hits * self.level_hit_cycles(level);
-        }
-        cycles += traffic.memory_reads * self.memory_read_cycles;
-        cycles += traffic.memory_writes * self.memory_write_cycles;
-        cycles
-    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub use clock::Clock;
 pub use cost::CostModel;
 pub use dma::{DmaEngine, DmaStep, DmaTransfer};
 
-use safemem_cache::{CacheConfig, Hierarchy, LineBacking, Traffic, WriteMissPolicy};
+use safemem_cache::{CacheConfig, Hierarchy, LineBacking, Traffic, WriteMissPolicy, MAX_LEVELS};
 use safemem_ecc::codec::{LINE_BYTES as ECC_LINE_BYTES, LINE_GROUPS as ECC_LINE_GROUPS};
 use safemem_ecc::{EccController, EccFault, EccMode, ScrambleScheme};
 
@@ -56,6 +56,40 @@ impl LineBacking for CtlBacking<'_> {
     }
 }
 
+/// The cycle cost of each kind of cache traffic, read off the cost model
+/// once when the machine is built, so charging an access is one pass over
+/// a fixed-size record with no per-level lookup.
+#[derive(Debug, Clone, Copy)]
+struct TrafficCycles {
+    level_hits: [u64; MAX_LEVELS],
+    memory_read: u64,
+    memory_write: u64,
+}
+
+impl TrafficCycles {
+    fn new(cost: &CostModel) -> Self {
+        TrafficCycles {
+            level_hits: std::array::from_fn(|level| cost.level_hit_cycles(level)),
+            memory_read: cost.memory_read_cycles,
+            memory_write: cost.memory_write_cycles,
+        }
+    }
+
+    /// Total cycles of `traffic`: per-level hit latencies plus DRAM refills
+    /// and writebacks. Charging once per access (however many lines it
+    /// spanned) rather than per line is exact — the cost is linear in the
+    /// counters.
+    fn of(&self, traffic: &Traffic) -> u64 {
+        let hits: u64 = self
+            .level_hits
+            .iter()
+            .zip(&traffic.level_hits)
+            .map(|(cycles, hits)| cycles * hits)
+            .sum();
+        hits + traffic.memory_reads * self.memory_read + traffic.memory_writes * self.memory_write
+    }
+}
+
 /// The simulated machine: CPU clock + caches + ECC memory.
 ///
 /// # Example
@@ -76,9 +110,7 @@ pub struct Machine {
     clock: Clock,
     cost: CostModel,
     scramble: ScrambleScheme,
-    /// Per-access traffic scratch, reset before every access instead of
-    /// reallocating the per-level counter vector on the hot path.
-    traffic: Traffic,
+    traffic_cycles: TrafficCycles,
 }
 
 impl std::fmt::Debug for Machine {
@@ -118,15 +150,13 @@ impl Machine {
     ) -> Self {
         let mut controller = EccController::new(phys_bytes);
         controller.set_mode(EccMode::CorrectError);
-        let hierarchy = Hierarchy::with_write_miss_policy(caches, policy);
-        let traffic = Traffic::new(hierarchy.num_levels());
         Machine {
             controller,
-            hierarchy,
+            hierarchy: Hierarchy::with_write_miss_policy(caches, policy),
             clock: Clock::new(cost.cpu_hz),
+            traffic_cycles: TrafficCycles::new(&cost),
             cost,
             scramble: ScrambleScheme::default(),
-            traffic,
         }
     }
 
@@ -196,11 +226,9 @@ impl Machine {
         self.hierarchy.set_prefetch_limit(self.controller.size());
     }
 
-    /// Charges the scratch traffic record accumulated by the last access
-    /// in one batch (see [`CostModel::traffic_cycles`]).
-    fn charge(&mut self) {
-        let cycles = self.cost.traffic_cycles(&self.traffic);
-        self.clock.advance(cycles);
+    /// Charges the traffic of one access in one batch.
+    fn charge(&mut self, traffic: &Traffic) {
+        self.clock.advance(self.traffic_cycles.of(traffic));
     }
 
     /// Reads physical memory through the cache hierarchy, advancing the
@@ -216,41 +244,74 @@ impl Machine {
     ///
     /// Panics if the range exceeds physical memory.
     pub fn read(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), EccFault> {
-        self.traffic.reset();
+        let mut traffic = Traffic::default();
         let result = self.hierarchy.read(
             addr,
             buf,
             &mut CtlBacking(&mut self.controller),
-            &mut self.traffic,
+            &mut traffic,
         );
-        self.charge();
+        self.charge(&traffic);
         if result.is_err() {
             self.clock.advance(self.cost.fault_detect_cycles);
         }
         result
     }
 
-    /// Serves `reads` back-to-back reads that all hit the L1-resident line
-    /// containing `addr`, copying `[addr, addr + buf.len())` into `buf`.
+    /// Reads consecutive 8-byte words from `addr` into `buf` (whole words
+    /// within one cache line) with one cache probe and one charge, and
+    /// returns how many it read.
     ///
-    /// The effect equals `reads` calls of [`Machine::read`] that each hit
-    /// that line in L1 (see [`Hierarchy::read_l1_repeated`]); the clock
-    /// advances by `reads` L1 hit latencies. Returns `false`, changing
-    /// nothing, if the line is not resident in L1.
+    /// The effect equals one [`Machine::read`] per word in address order,
+    /// up to the first word that call sequence would reach with the clock
+    /// at or past `deadline`; that word and the rest are left unread. The
+    /// first word is always read, as a demand read that may miss; the
+    /// others are L1 hits (see [`Hierarchy::read_run`]). The reads also
+    /// stop after the first word if the prefetch that followed its miss
+    /// evicted the line from L1.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`EccFault`] of the first word's faulted refill, as
+    /// [`Machine::read`] does; no word was then read.
     ///
     /// # Panics
     ///
-    /// Panics if `[addr, addr + buf.len())` leaves the line.
-    pub fn read_l1_repeated(&mut self, addr: u64, buf: &mut [u8], reads: u64) -> bool {
-        self.traffic.reset();
-        if !self
-            .hierarchy
-            .read_l1_repeated(addr, buf, reads, &mut self.traffic)
-        {
-            return false;
+    /// Panics if `buf` is empty, not whole words, or leaves the line, or if
+    /// the line exceeds physical memory.
+    pub fn read_line_words(
+        &mut self,
+        addr: u64,
+        buf: &mut [u8],
+        deadline: u64,
+    ) -> Result<usize, EccFault> {
+        let start = self.clock.cycles();
+        let rates = self.traffic_cycles;
+        // Hit `k` (from 1) is served iff the clock before it, `start` plus
+        // the demand read's cost plus `k - 1` hits, is below `deadline`:
+        // that makes `⌈left / hit⌉` hits.
+        let hits_before = |traffic: &Traffic| {
+            let now = start + rates.of(traffic);
+            match (deadline.checked_sub(now), rates.level_hits[0]) {
+                (None | Some(0), _) => 0,
+                (Some(_), 0) => u64::MAX,
+                (Some(left), hit) => left.div_ceil(hit),
+            }
+        };
+        let mut traffic = Traffic::default();
+        let result = self.hierarchy.read_run(
+            addr,
+            buf,
+            8,
+            hits_before,
+            &mut CtlBacking(&mut self.controller),
+            &mut traffic,
+        );
+        self.charge(&traffic);
+        if result.is_err() {
+            self.clock.advance(self.cost.fault_detect_cycles);
         }
-        self.charge();
-        true
+        result
     }
 
     /// Writes physical memory through the cache hierarchy (write-allocate),
@@ -266,14 +327,14 @@ impl Machine {
     ///
     /// Panics if the range exceeds physical memory.
     pub fn write(&mut self, addr: u64, buf: &[u8]) -> Result<(), EccFault> {
-        self.traffic.reset();
+        let mut traffic = Traffic::default();
         let result = self.hierarchy.write(
             addr,
             buf,
             &mut CtlBacking(&mut self.controller),
-            &mut self.traffic,
+            &mut traffic,
         );
-        self.charge();
+        self.charge(&traffic);
         if result.is_err() {
             self.clock.advance(self.cost.fault_detect_cycles);
         }
@@ -287,24 +348,24 @@ impl Machine {
     ///
     /// Panics if the range exceeds physical memory.
     pub fn flush_range(&mut self, addr: u64, len: u64) {
-        self.traffic.reset();
+        let mut traffic = Traffic::default();
         let lines = len.div_ceil(self.line_size()).max(1);
         self.hierarchy.flush_range(
             addr,
             len,
             &mut CtlBacking(&mut self.controller),
-            &mut self.traffic,
+            &mut traffic,
         );
-        self.charge();
+        self.charge(&traffic);
         self.clock.advance(lines * self.cost.flush_line_cycles);
     }
 
     /// Writes back and empties the entire cache hierarchy.
     pub fn flush_all_caches(&mut self) {
-        self.traffic.reset();
+        let mut traffic = Traffic::default();
         self.hierarchy
-            .flush_all(&mut CtlBacking(&mut self.controller), &mut self.traffic);
-        self.charge();
+            .flush_all(&mut CtlBacking(&mut self.controller), &mut traffic);
+        self.charge(&traffic);
     }
 
     /// Writes physical memory directly, bypassing the cache hierarchy — the
@@ -549,6 +610,44 @@ mod tests {
         assert!(m.write(addr + 16, &[]).is_ok());
         assert_eq!(m.clock().cycles(), before);
         assert!(m.read(addr, &mut [0u8; 1]).is_err(), "still armed");
+    }
+
+    #[test]
+    fn line_words_equal_word_reads_up_to_the_deadline() {
+        // From a cold line (a miss) and a resident one (a hit), and for
+        // deadlines before, at and between the word boundaries: the same
+        // words, bytes, clock and cache state as reading word by word
+        // while the clock is below the deadline.
+        let bytes: Vec<u8> = (0..128u8).collect();
+        for warm in [false, true] {
+            for offset in 0..40 {
+                let fresh = || {
+                    let mut m = Machine::with_defaults(1 << 20);
+                    m.write_uncached(0x2000, &bytes);
+                    if warm {
+                        m.read(0x2000, &mut [0u8; 8]).unwrap();
+                    }
+                    m
+                };
+                let (mut bulk, mut words) = (fresh(), fresh());
+                let deadline = bulk.clock().cycles() + offset * 7;
+                let mut got = [0u8; 48];
+                let read = bulk.read_line_words(0x2010, &mut got, deadline).unwrap();
+                let mut want = Vec::new();
+                while want.len() < 48 && (want.is_empty() || words.clock().cycles() < deadline) {
+                    let mut w = [0u8; 8];
+                    words.read(0x2010 + want.len() as u64, &mut w).unwrap();
+                    want.extend_from_slice(&w);
+                }
+                assert_eq!(read * 8, want.len(), "warm {warm} offset {offset}");
+                assert_eq!(&got[..want.len()], &want[..]);
+                assert_eq!(bulk.clock().cycles(), words.clock().cycles());
+                assert_eq!(
+                    bulk.hierarchy().level_stats(),
+                    words.hierarchy().level_stats()
+                );
+            }
+        }
     }
 
     #[test]

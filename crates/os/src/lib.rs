@@ -553,48 +553,89 @@ impl Os {
     /// The effect is exactly that of one [`Os::read_u64`] per word in
     /// address order: the same values, clocks, statistics, cache and VM
     /// state, and kernel log. Only the host cost differs. The first word of
-    /// each cache line takes the ordinary path; the rest of the line is
-    /// then served in bulk as repeated L1 hits, since that is what the
-    /// per-word reads would each be. Those words are read one by one
-    /// instead whenever the bulk step could differ: `vaddr` is not
-    /// 8-aligned, the line's first word faulted, a scheduled scrub could
-    /// fall due within the run, or the line is no longer in L1.
+    /// each page takes the ordinary path, which handles protection, page
+    /// faults, swap-in re-arms and scheduled scrubs. The rest of the page
+    /// is then served as a page run: one translation, one deferred VM
+    /// update and one machine call per cache line. A run hands the next
+    /// word back to the ordinary path where a scheduled scrub falls due.
+    /// Every word takes the ordinary path when `vaddr` is not 8-aligned,
+    /// and so does every word of a page whose first word hit a protection
+    /// fault.
     pub fn read_words(&mut self, vaddr: u64, out: &mut [Option<u64>]) {
-        /// Words served per bulk step: one 64-byte line. Longer lines take
-        /// several steps, each after an ordinary (L1-hit) read.
-        const BULK_WORDS: usize = 8;
-        let line_bytes = self.line_size();
-        let hit_cycles = self.machine.cost().level_hit_cycles(0);
         let mut i = 0;
         while i < out.len() {
-            let addr = vaddr + 8 * i as u64;
-            out[i] = self.read_u64(addr).ok();
+            let read = self.read_u64(vaddr + 8 * i as u64);
+            let readable = !matches!(read, Err(OsFault::Segv { .. }));
+            out[i] = read.ok();
             i += 1;
-            if out[i - 1].is_none() || !vaddr.is_multiple_of(8) {
-                continue;
+            if readable && vaddr.is_multiple_of(8) {
+                i = self.read_page_run(vaddr, out, i);
             }
-            let rest_of_line = ((line_bytes - addr % line_bytes) / 8 - 1) as usize;
-            let n = rest_of_line.min(out.len() - i).min(BULK_WORDS);
-            if n == 0 || self.scrub_due_within(n as u64 * hit_cycles) {
-                continue;
-            }
-            let next = addr + 8;
-            let Some(phys) = self.vm.translate_resident(next) else {
-                continue;
-            };
-            let mut bytes = [0u8; 8 * BULK_WORDS];
-            if !self
-                .machine
-                .read_l1_repeated(phys, &mut bytes[..8 * n], n as u64)
-            {
-                continue;
-            }
-            self.vm.record_hits(next, n as u64);
-            for (word, chunk) in out[i..i + n].iter_mut().zip(bytes.chunks_exact(8)) {
-                *word = Some(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-            }
-            i += n;
         }
+    }
+
+    /// Serves words `i..` of a [`Os::read_words`] call at `vaddr` that lie
+    /// on the page of word `i - 1`, which the ordinary path has just read
+    /// without a protection fault, and returns the index of the first word
+    /// left for the ordinary path.
+    ///
+    /// The page is resident and readable for the whole run: only the
+    /// ordinary path maps, evicts or protects pages. So the run translates
+    /// it once, and defers the VM translation hits every word would record
+    /// to one [`VirtualMemory::record_hits`], made before a fault is
+    /// classified and when the run ends. Each cache line takes one
+    /// [`Machine::read_line_words`]: a demand read of its first word, then
+    /// L1 hits. The run ends where a scheduled scrub falls due, since the
+    /// ordinary path runs it before the next word.
+    fn read_page_run(&mut self, vaddr: u64, out: &mut [Option<u64>], mut i: usize) -> usize {
+        /// Words per machine call: one 64-byte line. Longer lines take
+        /// several calls, each starting with a demand read that hits L1,
+        /// as the next word's ordinary read would.
+        const LINE_WORDS: usize = 8;
+        let start = vaddr + 8 * i as u64;
+        let page_end = (start - 8) / PAGE_BYTES * PAGE_BYTES + PAGE_BYTES;
+        let end = out.len().min(i + ((page_end - start) / 8) as usize);
+        if i >= end {
+            return i;
+        }
+        let phys_start = self
+            .vm
+            .translate_resident(start)
+            .expect("the ordinary path just mapped the page");
+        let line_bytes = self.line_size();
+        let deadline = self.scrub_deadline();
+        let mut hits = 0;
+        let mut bytes = [0u8; 8 * LINE_WORDS];
+        while i < end && self.machine.clock().cycles() < deadline {
+            let addr = vaddr + 8 * i as u64;
+            let phys = phys_start + (addr - start);
+            let n = (((line_bytes - phys % line_bytes) / 8) as usize)
+                .min(end - i)
+                .min(LINE_WORDS);
+            match self
+                .machine
+                .read_line_words(phys, &mut bytes[..8 * n], deadline)
+            {
+                Ok(read) => {
+                    for (word, chunk) in out[i..i + read].iter_mut().zip(bytes.chunks_exact(8)) {
+                        *word = Some(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+                    }
+                    hits += read as u64;
+                    i += read;
+                }
+                Err(fault) => {
+                    self.vm.record_hits(start, hits + 1);
+                    hits = 0;
+                    let _ = self.classify_ecc_fault(addr, AccessKind::Read, fault.group_addr);
+                    out[i] = None;
+                    i += 1;
+                }
+            }
+        }
+        if hits > 0 {
+            self.vm.record_hits(start, hits);
+        }
+        i
     }
 
     /// Convenience: writes a little-endian `u64`.
@@ -874,20 +915,21 @@ impl Os {
 
     /// Runs a scheduled scrub cycle if the configured interval has elapsed.
     fn maybe_scrub(&mut self) {
-        if self.scrub_due_within(0) {
+        if self.machine.clock().cycles() >= self.scrub_deadline() {
             self.run_scrub_cycle();
         }
     }
 
-    /// Whether a scheduled scrub cycle falls due within the next `cycles`
-    /// cycles. Never true unless the controller mode scrubs, because
-    /// [`Os::run_scrub_cycle`] does nothing otherwise.
-    fn scrub_due_within(&self, cycles: u64) -> bool {
-        self.scrub_interval.is_some_and(|interval| {
-            let later = self.machine.clock().cycles().saturating_add(cycles);
-            later.saturating_sub(self.last_scrub) >= interval
-                && self.machine.controller().mode().scrubs()
-        })
+    /// The clock reading from which a scheduled scrub cycle is due, or
+    /// `u64::MAX` (never) unless one is scheduled and the controller mode
+    /// scrubs, because [`Os::run_scrub_cycle`] does nothing otherwise.
+    fn scrub_deadline(&self) -> u64 {
+        match self.scrub_interval {
+            Some(interval) if self.machine.controller().mode().scrubs() => {
+                self.last_scrub.saturating_add(interval)
+            }
+            _ => u64::MAX,
+        }
     }
 
     /// Coordinates one full scrub pass: temporarily disarms every watched

@@ -2,6 +2,7 @@
 //! a reference model, paging transparency, and protection enforcement.
 
 use proptest::prelude::*;
+use safemem_ecc::EccMode;
 use safemem_os::{Os, OsConfig, OsFault, Prot, SwapPolicy, HEAP_BASE, PAGE_BYTES};
 use std::collections::{HashMap, HashSet};
 
@@ -179,6 +180,7 @@ proptest! {
 /// How the two `Os` instances of a [`Os::read_words`] check are built.
 #[derive(Debug, Clone, Copy)]
 struct ScanStack {
+    mode: EccMode,
     scrub_interval: Option<u64>,
     prefetch: bool,
     swap_aware: bool,
@@ -209,9 +211,7 @@ fn scan_os(
         ..OsConfig::default()
     });
     os.register_ecc_fault_handler();
-    os.machine_mut()
-        .controller_mut()
-        .set_mode(safemem_ecc::EccMode::CorrectAndScrub);
+    os.machine_mut().controller_mut().set_mode(stack.mode);
     os.machine_mut().set_prefetch(stack.prefetch);
     os.vwrite(HEAP_BASE, contents).unwrap();
     if let Some((line, lines)) = watched {
@@ -263,13 +263,21 @@ proptest! {
     /// clocks, statistics, cache, VM and kernel-log state, on stacks with
     /// scrubs landing mid-line, a watched region whose words fault, a
     /// protected page, prefetching, and swap-aware paging under memory
-    /// pressure.
+    /// pressure, in every ECC mode. Half the scans span three pages or
+    /// more, so page runs start and end around the protected page, the
+    /// watched lines and the evictions that make room for the next page.
     #[test]
     fn prop_read_words_matches_a_read_u64_loop(
         seed in any::<u64>(),
         start in 0u64..SCAN_REGION,
         aligned in any::<bool>(),
-        words in 0usize..700,
+        words in prop_oneof![0usize..700, 1536usize..2600],
+        mode in prop_oneof![
+            Just(EccMode::CorrectAndScrub),
+            Just(EccMode::CorrectError),
+            Just(EccMode::CheckOnly),
+            Just(EccMode::Disabled),
+        ],
         scrub in prop_oneof![Just(None), (150u64..3_000).prop_map(Some)],
         prefetch in any::<bool>(),
         swap_aware in any::<bool>(),
@@ -289,7 +297,7 @@ proptest! {
                 if state % 5 == 0 { (state >> 32) as u8 } else { 0 }
             })
             .collect();
-        let stack = ScanStack { scrub_interval: scrub, prefetch, swap_aware };
+        let stack = ScanStack { mode, scrub_interval: scrub, prefetch, swap_aware };
         let start = HEAP_BASE + if aligned { start & !7 } else { start };
         let mut batched = scan_os(stack, &contents, watched, guard_page);
         let mut oracle = scan_os(stack, &contents, watched, guard_page);
@@ -315,6 +323,7 @@ proptest! {
 #[test]
 fn read_words_matches_a_read_u64_loop_on_a_fixed_stack() {
     let stack = ScanStack {
+        mode: EccMode::CorrectAndScrub,
         scrub_interval: Some(700),
         prefetch: true,
         swap_aware: true,
@@ -332,6 +341,38 @@ fn read_words_matches_a_read_u64_loop_on_a_fixed_stack() {
         .collect();
     assert_eq!(got.iter().filter(|w| w.is_none()).count(), 16);
     assert_eq!(got, want);
+    follow_up(&mut batched);
+    follow_up(&mut oracle);
+    assert_eq!(observe(&mut batched), observe(&mut oracle));
+}
+
+/// A fixed three-page scan in a mode that never scrubs: the scheduled
+/// interval is inert, every page after the first starts with the ordinary
+/// path, and the runs cross a protected page and a watched region whose
+/// words fault on every read.
+#[test]
+fn read_words_matches_a_read_u64_loop_across_pages_without_scrubs() {
+    let stack = ScanStack {
+        mode: EccMode::CorrectError,
+        scrub_interval: Some(700),
+        prefetch: false,
+        swap_aware: true,
+    };
+    let contents: Vec<u8> = (0..SCAN_REGION)
+        .map(|i| if i % 40 == 0 { (i / 40) as u8 } else { 0 })
+        .collect();
+    let mut batched = scan_os(stack, &contents, Some((70, 3)), Some(2));
+    let mut oracle = scan_os(stack, &contents, Some((70, 3)), Some(2));
+    let start = HEAP_BASE + 16;
+    let mut got = vec![None; 2_200];
+    batched.read_words(start, &mut got);
+    let want: Vec<Option<u64>> = (0..2_200u64)
+        .map(|i| oracle.read_u64(start + 8 * i).ok())
+        .collect();
+    assert_eq!(got.iter().filter(|w| w.is_none()).count(), 24 + 512);
+    assert_eq!(got, want);
+    assert_eq!(observe(&mut batched), observe(&mut oracle));
+    assert_eq!(batched.stats().scrub_cycles, 0);
     follow_up(&mut batched);
     follow_up(&mut oracle);
     assert_eq!(observe(&mut batched), observe(&mut oracle));
